@@ -20,7 +20,7 @@ from repro.core.experiment import (
 )
 from repro.core.metrics import run_size_sweep
 from repro.core.modes import AFFINITY_MODES
-from repro.core.parallel import default_jobs
+from repro.core.parallel import SweepRunner, default_jobs
 
 #: Shorter windows for the 56-run Figure 3/4 sweeps; the characterization
 #: corners (8 runs) use the full default windows.
@@ -106,8 +106,9 @@ def rx128_pair():
 def tx_sweep():
     """Figure 3/4 grid, transmit direction (28 runs, cached)."""
     return run_size_sweep(
-        "tx", sizes=PAPER_SIZES, modes=AFFINITY_MODES, cache=_CACHE,
-        progress=_progress, jobs=JOBS, **SWEEP_KW
+        "tx", sizes=PAPER_SIZES, modes=AFFINITY_MODES,
+        runner=SweepRunner(jobs=JOBS, cache=_CACHE, progress=_progress),
+        **SWEEP_KW
     )
 
 
@@ -115,6 +116,7 @@ def tx_sweep():
 def rx_sweep():
     """Figure 3/4 grid, receive direction (28 runs, cached)."""
     return run_size_sweep(
-        "rx", sizes=PAPER_SIZES, modes=AFFINITY_MODES, cache=_CACHE,
-        progress=_progress, jobs=JOBS, **SWEEP_KW
+        "rx", sizes=PAPER_SIZES, modes=AFFINITY_MODES,
+        runner=SweepRunner(jobs=JOBS, cache=_CACHE, progress=_progress),
+        **SWEEP_KW
     )

@@ -17,6 +17,7 @@ import sys
 from repro.core.experiment import PAPER_SIZES, DEFAULT_CACHE
 from repro.core.metrics import best_gain, run_size_sweep
 from repro.core.modes import AFFINITY_MODES
+from repro.core.parallel import SweepRunner
 from repro.core.report import render_figure3, render_figure4
 
 
@@ -36,8 +37,10 @@ def main(argv):
     sweep = run_size_sweep(
         direction,
         sizes=sizes,
-        cache=DEFAULT_CACHE,
-        progress=lambda msg: print("  " + msg),
+        runner=SweepRunner(
+            jobs=1, cache=DEFAULT_CACHE,
+            progress=lambda msg: print("  " + msg),
+        ),
         warmup_ms=14,
         measure_ms=18,
     )

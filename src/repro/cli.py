@@ -36,7 +36,7 @@ Examples::
     # cost, rank by throughput lost (writes JSON into results/).
     repro-affinity diagnose --direction rx --modes none,full
 
-    # Crash-safe studies: sweep/scale/diagnose journal every cell into
+    # Crash-safe studies: every study journals every cell into
     # results/runs/<run_id>/; an interrupted (^C, SIGTERM, SIGKILL,
     # power loss) study resumes where it stopped, byte-identically.
     repro-affinity runs list
@@ -59,7 +59,7 @@ from repro.core.experiment import (
 from repro.core.characterization import BIN_LABELS, STACK_BINS, characterize
 from repro.core.metrics import run_size_sweep
 from repro.core.modes import AFFINITY_MODES, EXTENDED_MODES
-from repro.core.parallel import SweepRunner, default_jobs
+from repro.core.parallel import FailureReport, SweepRunner
 from repro.core.report import (
     render_coalesce_table,
     render_figure3,
@@ -146,6 +146,39 @@ def _add_runstore(parser):
         help="don't journal this study into the run store")
 
 
+def _add_executor(parser, jobs):
+    parser.add_argument(
+        "--jobs", type=int, default=jobs,
+        help="worker processes (1 = serial; 0 = one per CPU / "
+             "$REPRO_JOBS; default %d)" % jobs)
+    parser.add_argument(
+        "--cell-timeout", type=float, default=None, metavar="SECONDS",
+        help="wall-clock watchdog per cell; cells past it are retried "
+             "then quarantined instead of hanging the study")
+    parser.add_argument(
+        "--retries", type=int, default=1,
+        help="same-seed re-runs granted to a failing cell before it "
+             "is quarantined (default 1)")
+
+
+def _progress(msg):
+    print("[repro] %s" % msg, file=sys.stderr)
+
+
+def _choices(text, allowed, what):
+    """Parse a comma-separated list, every entry one of ``allowed``.
+
+    Returns the tuple, or ``None`` after printing the first unknown
+    entry (the caller exits 2)."""
+    picked = tuple(v.strip() for v in text.split(",") if v.strip())
+    for value in picked:
+        if value not in allowed:
+            print("[repro] unknown %s %r (choose from %s)"
+                  % (what, value, ", ".join(allowed)), file=sys.stderr)
+            return None
+    return picked
+
+
 def _config(args, affinity):
     return ExperimentConfig(
         direction=args.direction,
@@ -166,50 +199,80 @@ def _config(args, affinity):
 def _run(args, affinity):
     cache = None if args.no_cache else DEFAULT_CACHE
     return run_experiment(
-        _config(args, affinity),
-        cache=cache,
-        progress=lambda msg: print("[repro] %s" % msg, file=sys.stderr),
+        _config(args, affinity), cache=cache, progress=_progress
     )
 
 
 def _run_study(args, command, body):
-    """Drive one study command under the run store.
+    """Drive one study command: one executor, one run store, one
+    failure rule.
 
-    ``body(store)`` does the actual work and returns the exit code;
-    ``store`` is ``None`` when journaling is disabled
-    (``--no-runstore``).  Otherwise the study gets a crash-safe run
+    ``body(runner)`` builds the study's cell grid, runs it on
+    ``runner`` -- the :class:`SweepRunner` built here from the
+    command's ``--jobs``/``--cell-timeout``/``--retries`` (``jobs=1``
+    for a command without them) and journaling into the run store --
+    and returns ``(shown, artifacts)``: the report for stdout and the
+    ``{name: text}`` files persisted in the run directory.  A cell
+    that failed despite retries is quarantined, its slot renders as
+    FAIL, and the study exits 3.
+
+    Unless ``--no-runstore``, the study gets a crash-safe run
     directory (journal + manifest + lock), SIGINT/SIGTERM are turned
     into a clean checkpoint (status ``interrupted``, exit
     ``128+signum``) instead of a torn teardown, and the terminal
     status lands in the manifest and the cross-run index.  A resumed
     run arrives with the store pre-opened in ``args._store``.
     """
-    if getattr(args, "no_runstore", False):
-        return body(None)
-    store = getattr(args, "_store", None)
+    store = None
+    if not getattr(args, "no_runstore", False):
+        store = getattr(args, "_store", None)
+        if store is None:
+            recorded = {
+                k: v for k, v in vars(args).items()
+                if k != "func" and not k.startswith("_")
+            }
+            try:
+                store = RunStore.create(
+                    command, args=recorded,
+                    run_id=getattr(args, "run_id", None),
+                )
+            except (RunStoreError, LockHeldError) as exc:
+                _progress(str(exc))
+                return 2
+        _progress("run %s -> %s" % (store.run_id, store.directory))
+    jobs = getattr(args, "jobs", 1)
+    runner = SweepRunner(
+        jobs=jobs if jobs > 0 else None,
+        cache=None if args.no_cache else DEFAULT_CACHE,
+        progress=_progress,
+        timeout=getattr(args, "cell_timeout", None),
+        retries=getattr(args, "retries", 1),
+        journal=store,
+    )
+
+    def drive():
+        shown, artifacts = body(runner)
+        print(shown, end="")
+        if store is not None:
+            for name, text in artifacts.items():
+                store.write_artifact(name, text)
+        # Every run() of the study, not just the last: a multi-wave
+        # study (diagnose) can lose a cell in an early wave.
+        failures = FailureReport(runner.quarantined.values())
+        if not failures.ok:
+            _progress("%s incomplete: %s" % (command, failures.summary()))
+            return 3
+        return 0
+
     if store is None:
-        recorded = {
-            k: v for k, v in vars(args).items()
-            if k != "func" and not k.startswith("_")
-        }
-        try:
-            store = RunStore.create(
-                command, args=recorded,
-                run_id=getattr(args, "run_id", None),
-            )
-        except (RunStoreError, LockHeldError) as exc:
-            print("[repro] %s" % exc, file=sys.stderr)
-            return 2
-    print("[repro] run %s -> %s" % (store.run_id, store.directory),
-          file=sys.stderr)
+        return drive()
     try:
         with GracefulShutdown():
-            rc = body(store)
+            rc = drive()
     except ShutdownRequested as exc:
-        print("[repro] %s received; run %s checkpointed -- resume "
-              "with: repro-affinity runs resume %s"
-              % (exc.name, store.run_id, store.run_id),
-              file=sys.stderr)
+        _progress("%s received; run %s checkpointed -- resume with: "
+                  "repro-affinity runs resume %s"
+                  % (exc.name, store.run_id, store.run_id))
         store.finalize("interrupted")
         return 128 + exc.signum
     except BaseException:
@@ -275,29 +338,15 @@ def cmd_compare(args):
 
 
 def cmd_sweep(args):
-    cache = None if args.no_cache else DEFAULT_CACHE
     sizes = tuple(args.sizes)
-    modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    for mode in modes:
-        if mode not in EXTENDED_MODES:
-            print("[repro] unknown affinity mode %r (choose from %s)"
-                  % (mode, ", ".join(EXTENDED_MODES)), file=sys.stderr)
-            return 2
-        if mode == "flow-director" and args.queues <= 1:
-            print("[repro] mode flow-director needs --queues > 1",
-                  file=sys.stderr)
-            return 2
+    modes = _choices(args.modes, EXTENDED_MODES, "affinity mode")
+    if modes is None:
+        return 2
+    if "flow-director" in modes and args.queues <= 1:
+        _progress("mode flow-director needs --queues > 1")
+        return 2
 
-    def body(store):
-        runner = SweepRunner(
-            jobs=args.jobs if args.jobs > 0 else default_jobs(),
-            cache=cache,
-            progress=lambda msg: print("[repro] %s" % msg,
-                                       file=sys.stderr),
-            timeout=args.cell_timeout,
-            retries=args.retries,
-            journal=store,
-        )
+    def body(runner):
         sweep = run_size_sweep(
             args.direction,
             sizes=sizes,
@@ -317,149 +366,105 @@ def cmd_sweep(args):
             + render_figure4(sweep, sizes, modes, args.direction)
             + "\n"
         )
-        print(report, end="")
-        if store is not None:
-            store.write_artifact("report.txt", report)
-        if not runner.report.ok:
-            print("[repro] sweep incomplete: %s"
-                  % runner.report.summary(), file=sys.stderr)
-            return 3
-        return 0
+        return report, {"report.txt": report}
 
     return _run_study(args, "sweep", body)
 
 
 def cmd_scale(args):
-    cache = None if args.no_cache else DEFAULT_CACHE
+    if args.coalesce_sweep:
+        return cmd_coalesce(args)
     cpus = tuple(args.cpus_list)
     sizes = tuple(args.sizes)
-    if args.coalesce_sweep:
-        return _cmd_coalesce(args, cache)
-    modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    for mode in modes:
-        if mode not in SCALE_MODES:
-            print("[repro] unknown steering mode %r (choose from %s)"
-                  % (mode, ", ".join(SCALE_MODES)), file=sys.stderr)
-            return 2
+    modes = _choices(args.modes, SCALE_MODES, "steering mode")
+    if modes is None:
+        return 2
     conns = tuple(args.connections)
     if min(conns) < args.queues:
-        print("[repro] --connections %d is below --queues %d: every "
-              "hardware queue needs at least one flow; raise the "
-              "connection count or drop --queues"
-              % (min(conns), args.queues), file=sys.stderr)
+        _progress("--connections %d is below --queues %d: every "
+                  "hardware queue needs at least one flow; raise the "
+                  "connection count or drop --queues"
+                  % (min(conns), args.queues))
         return 2
-    conn_axis = conns if len(conns) > 1 else None
-    def body(store):
-        runner = SweepRunner(
-            jobs=args.jobs if args.jobs > 0 else default_jobs(),
-            cache=cache,
-            progress=lambda msg: print("[repro] %s" % msg,
-                                       file=sys.stderr),
-            timeout=args.cell_timeout,
-            retries=args.retries,
-            journal=store,
-        )
+
+    def body(runner):
         sweep = run_scale_sweep(
             args.direction,
             cpus=cpus,
             sizes=sizes,
             modes=modes,
             n_queues=args.queues,
-            n_connections=conns[0],
-            connections=conn_axis,
+            connections=conns,
             aggregation=args.aggregation,
             runner=runner,
             warmup_ms=args.warmup_ms,
             measure_ms=args.measure_ms,
             seed=args.seed,
         )
-        lines = [render_scale_table(sweep, cpus, sizes, modes,
-                                    args.direction, args.queues,
-                                    connections=conn_axis)]
-        # The persisted report renders without the wall-clock/RSS
-        # columns: those measure this process, not the simulated
-        # machine, and the run store's resume guarantee is that a
-        # crashed-and-resumed grid reproduces report.txt byte for
-        # byte.
-        stored_lines = [render_scale_table(sweep, cpus, sizes, modes,
-                                           args.direction, args.queues,
-                                           connections=conn_axis,
-                                           live_resources=False)]
+        efficiency = []
         for mode in modes:
-            for n_conn in (conn_axis or (None,)):
-                eff = scaling_efficiency(sweep, sizes, cpus, mode,
-                                         n_conn=n_conn)
-                tag = "" if n_conn is None else " %d flows" % n_conn
+            for n_conn in conns:
+                eff = scaling_efficiency(sweep, sizes, cpus, mode, n_conn)
+                tag = " %d flows" % n_conn if len(conns) > 1 else ""
                 for size in sizes:
                     row = " ".join(
                         "--" if e is None else "%.2f" % e
                         for e in eff[size]
                     )
-                    line = ("scaling efficiency %-13s %6dB%s: %s"
-                            % (mode, size, tag, row))
-                    lines.append(line)
-                    stored_lines.append(line)
-        report = "\n".join(lines) + "\n"
-        print(report, end="")
-        if store is not None:
-            store.write_artifact(
-                "report.txt", "\n".join(stored_lines) + "\n"
+                    efficiency.append("scaling efficiency %-13s %6dB%s: %s"
+                                      % (mode, size, tag, row))
+
+        def report(live_resources):
+            table = render_scale_table(
+                sweep, cpus, sizes, modes, args.direction, args.queues,
+                conns, live_resources=live_resources,
             )
-        if not runner.report.ok:
-            print("[repro] scale sweep incomplete: %s"
-                  % runner.report.summary(), file=sys.stderr)
-            return 3
-        return 0
+            return "\n".join([table] + efficiency) + "\n"
+
+        # The persisted report renders without the wall-clock/RSS
+        # columns: those measure this process, not the simulated
+        # machine, and the run store's resume guarantee is that a
+        # crashed-and-resumed grid reproduces report.txt byte for byte.
+        return report(True), {"report.txt": report(False)}
 
     return _run_study(args, "scale", body)
 
 
-def _cmd_coalesce(args, cache):
+def cmd_coalesce(args):
     """The ``scale --coalesce-sweep`` axis: ITR timer x throttle
     variant under the contended Flow Director configuration."""
     grid = tuple(args.coalesce_us)
-    variants = tuple(
-        v.strip() for v in args.coalesce_variants.split(",") if v.strip()
+    variants = _choices(
+        args.coalesce_variants, COALESCE_VARIANTS, "coalesce variant"
     )
-    for variant in variants:
-        if variant not in COALESCE_VARIANTS:
-            print("[repro] unknown coalesce variant %r (choose from %s)"
-                  % (variant, ", ".join(COALESCE_VARIANTS)),
-                  file=sys.stderr)
-            return 2
+    if variants is None:
+        return 2
     if args.queues <= 1:
-        print("[repro] --coalesce-sweep studies the Flow Director "
-              "retarget race; it needs --queues > 1", file=sys.stderr)
+        _progress("--coalesce-sweep studies the Flow Director retarget "
+                  "race; it needs --queues > 1")
         return 2
     # The sweep runs one cell shape: the paper's middle size on the
     # largest machine requested, unless --sizes names exactly one.
     size = args.sizes[0] if len(args.sizes) == 1 else 16384
-    n_cpus = max(args.cpus_list)
 
-    def body(store):
-        progress = lambda msg: print("[repro] %s" % msg, file=sys.stderr)
+    def body(runner):
         sweep = run_coalesce_sweep(
             direction=args.direction,
             message_size=size,
             grid=grid,
             variants=variants,
-            n_cpus=n_cpus,
+            n_cpus=max(args.cpus_list),
             n_queues=args.queues,
             n_connections=args.connections[0],
             warmup_ms=args.warmup_ms,
             measure_ms=args.measure_ms,
             seed=args.seed,
-            cache=cache,
-            progress=progress,
-            journal=store,
+            runner=runner,
         )
         report = render_coalesce_table(
             sweep, grid, variants, args.direction, args.queues
         ) + "\n"
-        print(report, end="")
-        if store is not None:
-            store.write_artifact("report.txt", report)
-        return 0
+        return report, {"report.txt": report}
 
     return _run_study(args, "coalesce", body)
 
@@ -468,22 +473,19 @@ def cmd_offload(args):
     from repro.core.offload import run_offload_study
     from repro.core.report import render_offload_table
 
-    modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    for mode in modes:
-        if mode not in EXTENDED_MODES:
-            print("[repro] unknown affinity mode %r (choose from %s)"
-                  % (mode, ", ".join(EXTENDED_MODES)), file=sys.stderr)
-            return 2
-    if len(modes) < 2:
-        print("[repro] --modes needs at least a baseline and a "
-              "comparison mode", file=sys.stderr)
+    modes = _choices(args.modes, EXTENDED_MODES, "affinity mode")
+    if modes is None:
         return 2
-    cache = None if args.no_cache else DEFAULT_CACHE
+    if len(modes) < 2:
+        _progress("--modes needs at least a baseline and a comparison "
+                  "mode")
+        return 2
+    directions = tuple(args.directions)
 
-    def body(store):
+    def body(runner):
         study = run_offload_study(
             modes=modes,
-            directions=tuple(args.directions),
+            directions=directions,
             message_size=args.size,
             offered_gbps=args.offered_gbps,
             n_connections=args.connections,
@@ -491,18 +493,12 @@ def cmd_offload(args):
             warmup_ms=args.warmup_ms,
             measure_ms=args.measure_ms,
             seed=args.seed,
-            cache=cache,
-            progress=lambda msg: print("[repro] %s" % msg,
-                                       file=sys.stderr),
-            journal=store,
+            runner=runner,
         )
         report = render_offload_table(
-            study, modes, directions=tuple(args.directions)
+            study, modes, directions=directions
         ) + "\n"
-        print(report, end="")
-        if store is not None:
-            store.write_artifact("report.txt", report)
-        return 0
+        return report, {"report.txt": report}
 
     return _run_study(args, "offload", body)
 
@@ -511,40 +507,19 @@ def cmd_diagnose(args):
     import json
     import os
 
-    modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    for mode in modes:
-        if mode not in EXTENDED_MODES:
-            print("[repro] unknown affinity mode %r (choose from %s)"
-                  % (mode, ", ".join(EXTENDED_MODES)), file=sys.stderr)
-            return 2
-    if args.knobs:
-        knobs = tuple(k.strip() for k in args.knobs.split(",") if k.strip())
-        unknown = [k for k in knobs if k not in PERTURB_SPECS]
-        if unknown:
-            print("[repro] unknown knob(s) %s (choose from %s)"
-                  % (", ".join(unknown), ", ".join(PERTURB_SPECS)),
-                  file=sys.stderr)
-            return 2
-    else:
-        knobs = None
-    if args.factor <= 1.0:
-        print("[repro] --factor must be > 1 (costs only scale up)",
-              file=sys.stderr)
+    modes = _choices(args.modes, EXTENDED_MODES, "affinity mode")
+    if modes is None:
         return 2
-    cache = None if args.no_cache else DEFAULT_CACHE
+    knobs = None
+    if args.knobs:
+        knobs = _choices(args.knobs, PERTURB_SPECS, "knob")
+        if knobs is None:
+            return 2
+    if args.factor <= 1.0:
+        _progress("--factor must be > 1 (costs only scale up)")
+        return 2
 
-    def body(store):
-        runner = None
-        if args.jobs != 1:
-            runner = SweepRunner(
-                jobs=args.jobs if args.jobs > 0 else default_jobs(),
-                cache=cache,
-                progress=lambda msg: print("[repro] %s" % msg,
-                                           file=sys.stderr),
-                timeout=args.cell_timeout,
-                retries=args.retries,
-                journal=store,
-            )
+    def body(runner):
         report = run_diagnosis(
             directions=(args.direction,),
             modes=modes,
@@ -558,13 +533,8 @@ def cmd_diagnose(args):
             seed=args.seed,
             steps=args.steps,
             sustain_frac=args.sustain,
-            cache=cache,
             runner=runner,
-            progress=lambda msg: print("[repro] %s" % msg,
-                                       file=sys.stderr),
-            runstore=store,
         )
-        print(render_diagnosis(report))
         text = json.dumps(report, indent=1, sort_keys=True) + "\n"
         out = args.json
         if out is None:
@@ -578,29 +548,27 @@ def cmd_diagnose(args):
             if parent:
                 os.makedirs(parent, exist_ok=True)
             atomic_write_text(out, text)
-            print("[repro] wrote %s" % out, file=sys.stderr)
+            _progress("wrote %s" % out)
         except OSError as exc:
             # Disk full / read-only results dir: the diagnosis itself
             # succeeded, so report it and keep going (the run-store
-            # artifact below may still land elsewhere).
-            print("[repro] could not write %s (%s); continuing"
-                  % (out, exc), file=sys.stderr)
-        if store is not None:
-            store.write_artifact("diagnosis.json", text)
-        if runner is not None and not runner.report.ok:
-            print("[repro] diagnosis incomplete: %s"
-                  % runner.report.summary(), file=sys.stderr)
-            return 3
-        incomplete = any(
-            b.get("failed") for b in report["baselines"].values()
-        ) or any(c["perturbed_gbps"] is None for c in report["cells"])
-        if incomplete:
-            print("[repro] diagnosis incomplete: some cells failed",
-                  file=sys.stderr)
-            return 3
-        return 0
+            # artifact may still land elsewhere).
+            _progress("could not write %s (%s); continuing" % (out, exc))
+        return render_diagnosis(report) + "\n", {"diagnosis.json": text}
 
     return _run_study(args, "diagnose", body)
+
+
+#: Every study command that :func:`_run_study` journals, by the
+#: command name recorded in its run manifest; ``runs resume``
+#: re-drives a run through this table.
+STUDY_COMMANDS = {
+    "sweep": cmd_sweep,
+    "scale": cmd_scale,
+    "coalesce": cmd_coalesce,
+    "offload": cmd_offload,
+    "diagnose": cmd_diagnose,
+}
 
 
 def cmd_trace(args):
@@ -612,7 +580,7 @@ def cmd_trace(args):
     # result); no need to consult --no-cache.
     result = run_experiment(
         _config(args, args.affinity),
-        progress=lambda msg: print("[repro] %s" % msg, file=sys.stderr),
+        progress=_progress,
     )
     events = result.tracer.events()
     trace = result["trace"]
@@ -716,18 +684,7 @@ def build_parser():
              "four: %s; any of %s -- 'toe' adds the transport-offload "
              "column, flow-director needs --queues > 1)"
              % (",".join(AFFINITY_MODES), ", ".join(EXTENDED_MODES)))
-    p_sweep.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the sweep (1 = serial; 0 = one per "
-             "CPU / $REPRO_JOBS)")
-    p_sweep.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock watchdog per sweep cell; cells past it are "
-             "retried then quarantined instead of hanging the sweep")
-    p_sweep.add_argument(
-        "--retries", type=int, default=1,
-        help="same-seed re-runs granted to a failing cell before it "
-             "is quarantined (default 1)")
+    _add_executor(p_sweep, jobs=1)
     _add_runstore(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -767,16 +724,7 @@ def build_parser():
     p_scale.add_argument("--measure-ms", type=int, default=3)
     p_scale.add_argument("--no-cache", action="store_true",
                          help="always re-run, ignore cached results")
-    p_scale.add_argument(
-        "--jobs", type=int, default=0,
-        help="worker processes (1 = serial; 0 = one per CPU / "
-             "$REPRO_JOBS)")
-    p_scale.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock watchdog per cell")
-    p_scale.add_argument(
-        "--retries", type=int, default=1,
-        help="same-seed re-runs granted to a failing cell (default 1)")
+    _add_executor(p_scale, jobs=0)
     p_scale.add_argument(
         "--coalesce-sweep", action="store_true",
         help="run the ITR coalescing sweep instead of the CPU grid: "
@@ -861,16 +809,7 @@ def build_parser():
     p_diag.add_argument("--measure-ms", type=int, default=10)
     p_diag.add_argument("--no-cache", action="store_true",
                         help="always re-run, ignore cached results")
-    p_diag.add_argument(
-        "--jobs", type=int, default=0,
-        help="worker processes (1 = serial; 0 = one per CPU / "
-             "$REPRO_JOBS)")
-    p_diag.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock watchdog per cell")
-    p_diag.add_argument(
-        "--retries", type=int, default=1,
-        help="same-seed re-runs granted to a failing cell (default 1)")
+    _add_executor(p_diag, jobs=0)
     p_diag.add_argument(
         "--json", metavar="PATH", default=None,
         help="report JSON path (default results/diagnosis_<direction>"

@@ -8,12 +8,9 @@ the normalized cost, GHz/Gbps.  ``run_size_sweep`` produces every
 
 import warnings
 
-from repro.core.experiment import (
-    PAPER_SIZES,
-    ExperimentConfig,
-    run_experiment,
-)
+from repro.core.experiment import PAPER_SIZES, ExperimentConfig
 from repro.core.modes import AFFINITY_MODES
+from repro.core.parallel import SweepRunner
 
 
 def dedupe_cells(cells, axes="sizes/cpus/modes"):
@@ -45,55 +42,25 @@ def dedupe_cells(cells, axes="sizes/cpus/modes"):
     return unique
 
 
-def _serial_flat(configs, cache=None, progress=None, journal=None):
-    """Serial (no-executor) cell loop shared by the sweep drivers.
-
-    Mirrors :class:`~repro.core.parallel.SweepRunner`'s lookup order
-    for the ``journal`` hook (a :class:`repro.runstore.RunStore`):
-    journaled cells from an interrupted session replay without
-    re-executing; fresh results are journaled before returning.
-    """
-    flat = []
-    for config in configs:
-        hit = journal.lookup_cell(config) if journal is not None else None
-        if hit is not None:
-            if progress:
-                progress("replayed %s (journal)" % config.label())
-            flat.append(hit)
-            continue
-        result = run_experiment(config, cache=cache, progress=progress)
-        if journal is not None:
-            journal.record_cell(config, result)
-        flat.append(result)
-    return flat
-
-
 def run_size_sweep(
     direction,
     sizes=PAPER_SIZES,
     modes=AFFINITY_MODES,
-    cache=None,
-    progress=None,
-    jobs=None,
     faults=None,
     runner=None,
-    journal=None,
     **config_kwargs
 ):
     """Run the full (size x mode) grid for one direction.
 
-    ``jobs`` > 1 shards the grid across worker processes via
-    :class:`repro.core.parallel.SweepRunner`; the default (``None``,
-    like ``1``) runs serially in-process.  Both paths produce
-    identical results.
+    ``runner`` is the :class:`~repro.core.parallel.SweepRunner` that
+    executes the cells (workers, cache, journal, per-cell
+    ``timeout``/``retries``; read ``runner.report`` afterwards).  The
+    default is an in-process serial runner with no cache.  Cells that
+    failed despite retries map to ``None`` in the returned dict.
 
     ``faults`` (a plan, dict or spec string -- see
     :meth:`repro.faults.plan.FaultPlan.coerce`) applies one fault plan
-    to every cell.  ``runner`` supplies a pre-built
-    :class:`~repro.core.parallel.SweepRunner` -- use it to set a
-    per-cell ``timeout``/``retries`` budget and to read
-    ``runner.report`` afterwards; cells that failed despite retries
-    map to ``None`` in the returned dict.
+    to every cell.
 
     Returns ``{(size, mode): ExperimentResult}``.
     """
@@ -108,18 +75,7 @@ def run_size_sweep(
         )
         for size, mode in cells
     ]
-    if runner is not None:
-        flat = runner.run(configs)
-    elif jobs is not None and jobs != 1:
-        from repro.core.parallel import SweepRunner
-
-        runner = SweepRunner(jobs=jobs, cache=cache, progress=progress,
-                             journal=journal)
-        flat = runner.run(configs)
-    else:
-        flat = _serial_flat(configs, cache=cache, progress=progress,
-                            journal=journal)
-    return dict(zip(cells, flat))
+    return dict(zip(cells, (runner or SweepRunner(jobs=1)).run(configs)))
 
 
 def _cell_attr(sweep, size, mode, attr):

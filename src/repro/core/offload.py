@@ -18,7 +18,8 @@ per-KB bin costs are an apples-to-apples measure of work per byte.
 """
 
 from repro.core.experiment import ExperimentConfig
-from repro.core.metrics import _serial_flat, dedupe_cells
+from repro.core.metrics import dedupe_cells
+from repro.core.parallel import SweepRunner
 from repro.cpu.events import CYCLES
 
 #: The study's canonical cell: the paper's largest transaction size,
@@ -46,9 +47,7 @@ def run_offload_study(
     warmup_ms=10,
     measure_ms=14,
     seed=3,
-    cache=None,
-    progress=None,
-    journal=None,
+    runner=None,
     **config_kwargs
 ):
     """Run the (direction x mode) offload-vs-affinity grid.
@@ -57,7 +56,8 @@ def run_offload_study(
     for why matched load, not saturation).  ``modes`` takes any
     :data:`~repro.core.modes.EXTENDED_MODES` entry; ``toe`` needs no
     extra configuration -- :func:`~repro.core.experiment.run_experiment`
-    flips ``NetParams.toe`` when it sees the mode.
+    flips ``NetParams.toe`` when it sees the mode.  ``runner``
+    executes the cells, as in :func:`repro.core.metrics.run_size_sweep`.
 
     Returns ``{(direction, mode): ExperimentResult}``.
     """
@@ -80,9 +80,7 @@ def run_offload_study(
         )
         for direction, mode in cells
     ]
-    flat = _serial_flat(configs, cache=cache, progress=progress,
-                        journal=journal)
-    return dict(zip(cells, flat))
+    return dict(zip(cells, (runner or SweepRunner(jobs=1)).run(configs)))
 
 
 def bin_cycles_per_kb(result, bin):

@@ -297,22 +297,21 @@ def render_trace_crosscheck(result, label):
 
 
 def render_scale_table(sweep, cpus, sizes, modes, direction, n_queues,
-                       connections=None, live_resources=True):
+                       connections, live_resources=True):
     """The multi-queue scaling study's four tables.
 
-    Throughput and GHz/Gbps cost per (n_cpus, size, mode), the
-    reordering table -- reorder-depth peak, SUT duplicate ACKs, peer
-    spurious retransmits and Flow Director retargets, the measurable
-    difference between static RSS (always zero) and the adaptive Flow
-    Director (non-zero whenever consumers migrate) -- and the
-    simulation-resource table (simulated representatives per cell,
-    plus wall-clock and peak RSS; ``--`` for cells served from the
-    result cache, which carry no live-run resource readings).
+    Throughput and GHz/Gbps cost per (n_cpus, size, mode, n_conn),
+    the reordering table -- reorder-depth peak, SUT duplicate ACKs,
+    peer spurious retransmits and Flow Director retargets, the
+    measurable difference between static RSS (always zero) and the
+    adaptive Flow Director (non-zero whenever consumers migrate) --
+    and the simulation-resource table (simulated representatives per
+    cell, plus wall-clock and peak RSS; ``--`` for cells served from
+    the result cache, which carry no live-run resource readings).
 
-    ``connections`` (a sequence of flow counts) reads the 4-tuple keys
-    of a connections-axis sweep and adds a flows column; ``None``
-    reads classic 3-tuple keys.  Failed (``None``) cells render as
-    ``FAIL``/``--``.
+    ``connections`` (the sweep's flow counts) selects the 4-tuple
+    keys to read; with more than one population every row also names
+    its flow count.  Failed (``None``) cells render as ``FAIL``/``--``.
 
     ``live_resources=False`` drops the wall-clock and RSS columns.
     They are measurements of *this process*, not of the simulated
@@ -320,19 +319,18 @@ def render_scale_table(sweep, cpus, sizes, modes, direction, n_queues,
     any report persisted under the run store's byte-identical-resume
     guarantee must render without them.
     """
-    conn_axis = (None,) if connections is None else tuple(connections)
+    conn_axis = tuple(connections)
+    show_flows = len(conn_axis) > 1
 
     def cell(n_cpus, size, mode, n_conn):
-        if n_conn is None:
-            return sweep.get((n_cpus, size, mode))
         return sweep.get((n_cpus, size, mode, n_conn))
 
     def row_label(n_cpus, n_conn):
-        return (str(n_cpus) if n_conn is None
-                else "%d x %d" % (n_cpus, n_conn))
+        return ("%d x %d" % (n_cpus, n_conn) if show_flows
+                else str(n_cpus))
 
     blocks = []
-    lead = "cpus" if connections is None else "cpus x flows"
+    lead = "cpus x flows" if show_flows else "cpus"
     tput = TextTable(
         [lead] + ["%s %d" % (m, s) for s in sizes for m in modes],
         title="Scale (%s, %d queues): throughput Mb/s"

@@ -15,7 +15,8 @@ happen at all, which is also the regime real servers run in.
 """
 
 from repro.core.experiment import ExperimentConfig
-from repro.core.metrics import _serial_flat, dedupe_cells
+from repro.core.metrics import dedupe_cells
+from repro.core.parallel import SweepRunner
 
 #: Machine sizes the study sweeps (the tentpole's n_cpus axis).
 SCALE_CPUS = (2, 4, 8, 16)
@@ -45,40 +46,26 @@ def run_scale_sweep(
     sizes=SCALE_SIZES,
     modes=SCALE_MODES,
     n_queues=8,
-    n_connections=16,
-    connections=None,
+    connections=(16,),
     aggregation="auto",
-    cache=None,
-    progress=None,
-    jobs=None,
     runner=None,
-    journal=None,
     **config_kwargs
 ):
-    """Run the (n_cpus x size x mode) multi-queue grid.
+    """Run the (n_cpus x size x mode x n_conn) multi-queue grid.
 
-    Mirrors :func:`repro.core.metrics.run_size_sweep`: ``jobs`` > 1
-    shards across a :class:`~repro.core.parallel.SweepRunner`;
-    ``runner`` supplies a pre-built one (per-cell timeout/retries,
-    ``runner.report`` afterwards), and cells that failed despite
-    retries map to ``None``.
+    ``connections`` is the flow-population axis: a sequence of flow
+    counts, from the single paper-era population ``(16,)`` up to
+    :data:`SCALE_CONNECTIONS`.  ``aggregation`` is handed to every
+    cell's config; the default ``"auto"`` switches large populations
+    to flow-class aggregation so the 100K-flow cells stay tractable.
 
-    ``connections`` adds the flow-population axis: a sequence of flow
-    counts (e.g. :data:`SCALE_CONNECTIONS`) extends the grid to
-    (n_cpus x size x mode x n_conn) and the returned keys to
-    4-tuples.  ``None`` keeps the single-population study --
-    ``n_connections`` flows, 3-tuple keys -- unchanged.
-    ``aggregation`` is handed to every cell's config; the default
-    ``"auto"`` switches large populations to flow-class aggregation
-    so the 100K-flow cells stay tractable.
+    ``runner`` executes the cells, as in
+    :func:`repro.core.metrics.run_size_sweep`; cells that failed
+    despite retries map to ``None``.
 
-    Returns ``{(n_cpus, size, mode): ExperimentResult}`` (or the
-    4-tuple-keyed dict when ``connections`` is given).
+    Returns ``{(n_cpus, size, mode, n_conn): ExperimentResult}``.
     """
-    conn_axis = (
-        (n_connections,) if connections is None else tuple(connections)
-    )
-    for n_conn in conn_axis:
+    for n_conn in connections:
         if n_conn < n_queues:
             raise ValueError(
                 "n_connections=%d is below n_queues=%d: every hardware "
@@ -86,19 +73,11 @@ def run_scale_sweep(
                 "regime under study, needs more) -- raise the "
                 "connection count or drop --queues" % (n_conn, n_queues)
             )
-    if connections is None:
-        cells = dedupe_cells(
-            (n_cpus, size, mode)
-            for n_cpus in cpus for size in sizes for mode in modes
-        )
-        expanded = [cell + (n_connections,) for cell in cells]
-    else:
-        cells = dedupe_cells(
-            (n_cpus, size, mode, n_conn)
-            for n_cpus in cpus for size in sizes for mode in modes
-            for n_conn in conn_axis
-        )
-        expanded = cells
+    cells = dedupe_cells(
+        (n_cpus, size, mode, n_conn)
+        for n_cpus in cpus for size in sizes for mode in modes
+        for n_conn in connections
+    )
     configs = [
         ExperimentConfig(
             direction=direction,
@@ -110,20 +89,9 @@ def run_scale_sweep(
             aggregation=aggregation,
             **config_kwargs
         )
-        for n_cpus, size, mode, n_conn in expanded
+        for n_cpus, size, mode, n_conn in cells
     ]
-    if runner is not None:
-        flat = runner.run(configs)
-    elif jobs is not None and jobs != 1:
-        from repro.core.parallel import SweepRunner
-
-        runner = SweepRunner(jobs=jobs, cache=cache, progress=progress,
-                             journal=journal)
-        flat = runner.run(configs)
-    else:
-        flat = _serial_flat(configs, cache=cache, progress=progress,
-                            journal=journal)
-    return dict(zip(cells, flat))
+    return dict(zip(cells, (runner or SweepRunner(jobs=1)).run(configs)))
 
 
 def coalesce_overrides(coalesce_us, variant):
@@ -152,9 +120,7 @@ def run_coalesce_sweep(
     warmup_ms=2,
     measure_ms=3,
     seed=7,
-    cache=None,
-    progress=None,
-    journal=None,
+    runner=None,
     **config_kwargs
 ):
     """Run the (coalesce_us x throttle-variant) grid under Flow Director.
@@ -170,6 +136,9 @@ def run_coalesce_sweep(
     stretches to 4x the base) lets it grow, and the absorb variant
     holds the old queue's IRQ across the retarget window to soak the
     reorder up again.
+
+    ``runner`` executes the cells, as in
+    :func:`repro.core.metrics.run_size_sweep`.
 
     Returns ``{(coalesce_us, variant): ExperimentResult}``; read each
     cell's ``result["steering"]`` for ``dup_acks_out`` /
@@ -196,13 +165,12 @@ def run_coalesce_sweep(
         )
         for us, variant in cells
     ]
-    flat = _serial_flat(configs, cache=cache, progress=progress,
-                        journal=journal)
-    return dict(zip(cells, flat))
+    return dict(zip(cells, (runner or SweepRunner(jobs=1)).run(configs)))
 
 
-def scaling_efficiency(sweep, sizes, cpus, mode, n_conn=None):
-    """Per-size speedup-per-CPU relative to the smallest machine.
+def scaling_efficiency(sweep, sizes, cpus, mode, n_conn):
+    """Per-size speedup-per-CPU relative to the smallest machine, for
+    the ``n_conn``-flow population.
 
     ``{size: [throughput(n)/throughput(min(cpus)) / (n/min(cpus))]}``
     -- 1.0 is perfect linear scaling, values sag as the wire saturates
@@ -210,21 +178,14 @@ def scaling_efficiency(sweep, sizes, cpus, mode, n_conn=None):
     The baseline is ``min(cpus)``, not ``cpus[0]``: an unsorted
     ``--cpus 16 2 4`` must still normalize against the smallest
     machine, not whichever one was listed first.
-
-    ``n_conn`` selects one population from a connections-axis sweep
-    (4-tuple keys); ``None`` reads the classic 3-tuple keys.
     """
-    def cell(n, size):
-        key = (n, size, mode) if n_conn is None else (n, size, mode, n_conn)
-        return sweep.get(key)
-
     out = {}
     base_cpus = min(cpus)
     for size in sizes:
-        base = cell(base_cpus, size)
+        base = sweep.get((base_cpus, size, mode, n_conn))
         row = []
         for n in cpus:
-            r = cell(n, size)
+            r = sweep.get((n, size, mode, n_conn))
             if r is None or base is None or base.throughput_gbps <= 0:
                 row.append(None)
             else:

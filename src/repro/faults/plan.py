@@ -68,8 +68,7 @@ class FaultPlan:
     transmits (``"tx"``), frames it receives (``"rx"``), or both.
     ``rto_ms`` optionally overrides the stack's retransmission timeout
     so RTO recovery fits inside test-sized measurement windows.
-    ``drop_every_n`` is the deterministic every-Nth-frame drop that
-    subsumes the old ad-hoc ``Nic.drop_every_n`` knob.
+    ``drop_every_n`` deterministically drops every Nth data frame.
     """
 
     __slots__ = tuple(_PLAN_DEFAULTS)
@@ -280,7 +279,7 @@ class FaultInjector:
         self.drops += 1
         if direction == "tx":
             # A transmitted frame lost on the wire shows up in the
-            # NIC's tx_drops, exactly like the legacy drop_every_n.
+            # NIC's tx_drops.
             nic.tx_drops += 1
 
     def _age_held(self, key):

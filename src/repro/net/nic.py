@@ -398,12 +398,9 @@ class Nic:
             self.steering = NicSteering(self, n_queues)
             self.vector = self.queue_vectors[0]
 
-        #: Legacy fault knob: when set to N > 0, every Nth transmitted
-        #: frame is lost on the way to the peer (the SUT still sees a
-        #: normal TX completion).  Subsumed by ``faults`` (a
-        #: :class:`~repro.faults.plan.FaultInjector`), which adds
-        #: seeded drop/reorder/duplicate/IRQ-delay at the same point.
-        self.drop_every_n = 0
+        #: Fault hook: a :class:`~repro.faults.plan.FaultInjector`
+        #: applying seeded drop/reorder/duplicate/IRQ-delay to the
+        #: frames crossing this NIC's wire, or ``None``.
         self.faults = None
 
         # Statistics.
@@ -480,13 +477,6 @@ class Nic:
             rxq._signal()
 
     def _tx_deliver(self, packet):
-        if (
-            self.drop_every_n
-            and packet.len > 0
-            and self.frames_out % self.drop_every_n == 0
-        ):
-            self.tx_drops += 1
-            return  # lost on the wire; the peer never sees it
         if self.peer is None:
             return
         if self.faults is not None and packet.ctl is None:

@@ -79,18 +79,13 @@ def cmd_runs_show(args):
 def cmd_runs_resume(args):
     from repro import cli as main_cli
 
-    dispatch = {
-        "sweep": main_cli.cmd_sweep,
-        "scale": main_cli.cmd_scale,
-        "diagnose": main_cli.cmd_diagnose,
-    }
     try:
         store = RunStore.resume(args.run_id, root=args.root)
     except (RunStoreError, LockHeldError) as exc:
         _err(str(exc))
         return 2
     command = store.manifest.get("command")
-    func = dispatch.get(command)
+    func = main_cli.STUDY_COMMANDS.get(command)
     if func is None:
         _err("run %s was produced by %r, which has no resume driver"
              % (args.run_id, command))

@@ -101,11 +101,11 @@ class RunStore:
     Construction goes through :meth:`create` (new run) or
     :meth:`resume` (existing directory; reclaims a stale lock and
     recovers the journal tail).  The store doubles as the *journal*
-    argument of :class:`repro.core.parallel.SweepRunner` and
-    :func:`repro.diagnose.saturation.run_cells` via
-    :meth:`lookup_cell` / :meth:`record_cell`; the ``executed`` /
-    ``replayed`` counters land in the manifest's per-session records
-    (the crash/resume tests assert on them).
+    argument of :class:`repro.core.parallel.SweepRunner` via
+    :meth:`lookup_cell` / :meth:`record_cell` (a diagnosis also
+    checkpoints its waves through :meth:`record_wave`); the
+    ``executed`` / ``replayed`` counters land in the manifest's
+    per-session records (the crash/resume tests assert on them).
     """
 
     def __init__(self, directory, manifest, journal, lock):

@@ -12,6 +12,7 @@ from repro.core.metrics import (
     throughput_gain,
     utilization_series,
 )
+from repro.core.parallel import SweepRunner
 from repro.core.report import render_figure3, render_figure4
 
 
@@ -23,7 +24,7 @@ def mini_sweep(tmp_path_factory):
         "tx",
         sizes=(1024, 32768),
         modes=("none", "full"),
-        cache=cache,
+        runner=SweepRunner(jobs=1, cache=cache),
         n_connections=4,
         warmup_ms=6,
         measure_ms=8,

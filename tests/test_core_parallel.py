@@ -211,11 +211,12 @@ class TestSweepRunner:
             warmup_ms=1,
             measure_ms=2,
         )
-        serial = run_size_sweep("tx", **kw)
+        serial = run_size_sweep("tx", runner=SweepRunner(jobs=1), **kw)
         parallel = run_size_sweep(
             "tx",
-            cache=ResultCache(directory=str(tmp_path)),
-            jobs=2,
+            runner=SweepRunner(
+                jobs=2, cache=ResultCache(directory=str(tmp_path))
+            ),
             **kw
         )
         assert serial.keys() == parallel.keys()

@@ -74,7 +74,7 @@ class TestDuplicateSeedDedupe:
             return _FakeResult(config)
 
         monkeypatch.setattr(
-            "repro.core.repeat.run_experiment", fake_run_experiment
+            "repro.core.parallel.run_experiment", fake_run_experiment
         )
         return calls
 

@@ -166,3 +166,61 @@ class TestDiagnoseCrashResume:
         assert resumed_session["replayed"] >= journaled
         # Resume re-executed only what the kill lost.
         assert resumed_session["executed"] < total
+
+
+# Every study command that journals can be resumed.  The smallest grid
+# of each that can stop partway (two cells) is run to completion, then
+# cut back to the state a crash after its first journaled cell leaves:
+# a one-record journal, no report, status ``interrupted``.
+RESUMABLE_STUDIES = {
+    "sweep": [
+        "sweep", "--direction", "rx", "--sizes", "4096",
+        "--modes", "none,full", "--connections", "2",
+        "--warmup-ms", "1", "--measure-ms", "2",
+    ],
+    "offload": [
+        "offload", "--directions", "rx", "--modes", "full,toe",
+        "--connections", "2", "--warmup-ms", "1", "--measure-ms", "2",
+    ],
+    "coalesce": [
+        "scale", "--coalesce-sweep", "--cpus", "2", "--queues", "2",
+        "--connections", "4", "--coalesce-us", "5", "25",
+        "--coalesce-variants", "baseline",
+        "--warmup-ms", "1", "--measure-ms", "2", "--jobs", "1",
+    ],
+}
+
+
+def _interrupt_after_first_cell(run_dir):
+    journal = run_dir / "journal.jsonl"
+    first = journal.read_bytes().splitlines(keepends=True)[0]
+    assert b'"type":"cell"' in first
+    journal.write_bytes(first)
+    (run_dir / "report.txt").unlink()
+    manifest_path = run_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["status"] = "interrupted"
+    manifest_path.write_text(json.dumps(manifest))
+
+
+class TestEveryStudyResumes:
+    @pytest.mark.parametrize("study", sorted(RESUMABLE_STUDIES))
+    def test_interrupted_run_resumes_byte_identical(
+            self, study, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
+        args = RESUMABLE_STUDIES[study] + ["--no-cache"]
+        assert main(args + ["--run-id", "base"]) == 0
+        assert main(args + ["--run-id", "cut"]) == 0
+        _interrupt_after_first_cell(tmp_path / "cut")
+
+        assert main(["runs", "resume", "cut"]) == 0, capsys.readouterr().err
+        resumed = (tmp_path / "cut" / "report.txt").read_bytes()
+        assert resumed == (tmp_path / "base" / "report.txt").read_bytes()
+
+        manifest = json.loads((tmp_path / "cut" / "manifest.json").read_text())
+        assert manifest["command"] == study
+        assert manifest["status"] == "completed"
+        session = manifest["sessions"][-1]
+        assert (session["replayed"], session["executed"]) == (1, 1)
