@@ -211,10 +211,12 @@ def _run_study(args, command, body):
     ``runner`` -- the :class:`SweepRunner` built here from the
     command's ``--jobs``/``--cell-timeout``/``--retries`` (``jobs=1``
     for a command without them) and journaling into the run store --
-    and returns ``(shown, artifacts)``: the report for stdout and the
-    ``{name: text}`` files persisted in the run directory.  A cell
-    that failed despite retries is quarantined, its slot renders as
-    FAIL, and the study exits 3.
+    and returns ``(shown, artifacts, gap)``: the report for stdout, the
+    ``{name: text}`` files persisted in the run directory, and why the
+    study is incomplete although every cell ran (``None`` if it is
+    not).  A cell that failed despite retries is quarantined, its slot
+    renders as FAIL, and the study exits 3; so does a study with a
+    ``gap``.
 
     Unless ``--no-runstore``, the study gets a crash-safe run
     directory (journal + manifest + lock), SIGINT/SIGTERM are turned
@@ -251,7 +253,7 @@ def _run_study(args, command, body):
     )
 
     def drive():
-        shown, artifacts = body(runner)
+        shown, artifacts, gap = body(runner)
         print(shown, end="")
         if store is not None:
             for name, text in artifacts.items():
@@ -260,7 +262,9 @@ def _run_study(args, command, body):
         # study (diagnose) can lose a cell in an early wave.
         failures = FailureReport(runner.quarantined.values())
         if not failures.ok:
-            _progress("%s incomplete: %s" % (command, failures.summary()))
+            gap = failures.summary()
+        if gap is not None:
+            _progress("%s incomplete: %s" % (command, gap))
             return 3
         return 0
 
@@ -366,7 +370,7 @@ def cmd_sweep(args):
             + render_figure4(sweep, sizes, modes, args.direction)
             + "\n"
         )
-        return report, {"report.txt": report}
+        return report, {"report.txt": report}, None
 
     return _run_study(args, "sweep", body)
 
@@ -425,7 +429,7 @@ def cmd_scale(args):
         # columns: those measure this process, not the simulated
         # machine, and the run store's resume guarantee is that a
         # crashed-and-resumed grid reproduces report.txt byte for byte.
-        return report(True), {"report.txt": report(False)}
+        return report(True), {"report.txt": report(False)}, None
 
     return _run_study(args, "scale", body)
 
@@ -464,7 +468,7 @@ def cmd_coalesce(args):
         report = render_coalesce_table(
             sweep, grid, variants, args.direction, args.queues
         ) + "\n"
-        return report, {"report.txt": report}
+        return report, {"report.txt": report}, None
 
     return _run_study(args, "coalesce", body)
 
@@ -498,7 +502,7 @@ def cmd_offload(args):
         report = render_offload_table(
             study, modes, directions=directions
         ) + "\n"
-        return report, {"report.txt": report}
+        return report, {"report.txt": report}, None
 
     return _run_study(args, "offload", body)
 
@@ -554,7 +558,14 @@ def cmd_diagnose(args):
             # succeeded, so report it and keep going (the run-store
             # artifact may still land elsewhere).
             _progress("could not write %s (%s); continuing" % (out, exc))
-        return render_diagnosis(report) + "\n", {"diagnosis.json": text}
+        # A ceiling probe that delivered nothing fails its baseline
+        # (and leaves its knobs unmeasured) without failing a cell.
+        gap = None
+        if any(b["failed"] for b in report["baselines"].values()) or any(
+                c["perturbed_gbps"] is None for c in report["cells"]):
+            gap = "some baselines or cells failed"
+        return (render_diagnosis(report) + "\n", {"diagnosis.json": text},
+                gap)
 
     return _run_study(args, "diagnose", body)
 

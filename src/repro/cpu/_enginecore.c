@@ -11,6 +11,10 @@
  * float expressions keep Python's evaluation order (Python float ==
  * IEEE double; int() == trunc for the non-negative values here), and
  * the golden-determinism suite pins both variants to one hash table.
+ * These are the only implementations of the array-state transitions:
+ * the Python classes own the buffers and offer introspection, and
+ * tests/test_engine_equivalence.py checks this file against the
+ * reference object model buffer by buffer after every operation.
  *
  * Growth protocol: the Python side owns every buffer.  Arrays that can
  * grow (directory columns, accounting rows, branch-predictor state)
@@ -102,7 +106,6 @@ typedef struct {
     int64_t dir_mask, dir_shift, dir_gen_seen;
     Py_buffer ms_stats_v;
     int64_t *ms_stats;
-    int dma_read_invalidates;
     /* Costs. */
     int64_t retire_width, l2_hit, l3_hit, llc_miss, llc_store_miss;
     int64_t c2c_transfer, tc_miss, itlb_walk, dtlb_walk, br_mispredict;
@@ -227,7 +230,7 @@ ensure_bound(EngineState *st)
 }
 
 /* ------------------------------------------------------------------ */
-/* Array-state primitives (mirrors of the pure-Python classes).        */
+/* Array-state primitives (mirrors of the reference classes).          */
 /* ------------------------------------------------------------------ */
 
 /* Unconditional MRU insert, evicting the LRU way (list.insert(0) +
@@ -1017,7 +1020,7 @@ mod_dma_read(PyObject *self, PyObject *args)
             int64_t idx = dir_find(st, line);
             if (idx >= 0) {
                 int64_t sharers = st->dir_sharers[idx];
-                if (st->dma_read_invalidates && sharers) {
+                if (sharers) {
                     for (int d = 0; d < st->n_domains; d++) {
                         if (sharers & ((int64_t)1 << d)) {
                             domain_invalidate(st, d, line);
@@ -1217,15 +1220,6 @@ mod_build_state(PyObject *self, PyObject *args)
         rebind_directory(st) < 0 ||
         bind_buf(memsys, "_stats", &st->ms_stats_v, &st->ms_stats) < 0)
         goto fail;
-    {
-        PyObject *v = PyObject_GetAttrString(memsys, "dma_read_invalidates");
-        if (v == NULL)
-            goto fail;
-        st->dma_read_invalidates = PyObject_IsTrue(v);
-        Py_DECREF(v);
-        if (st->dma_read_invalidates < 0)
-            goto fail;
-    }
 
     if (get_i64(costs, "retire_width", &st->retire_width) < 0 ||
         get_i64(costs, "l2_hit", &st->l2_hit) < 0 ||

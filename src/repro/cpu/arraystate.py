@@ -5,14 +5,15 @@ These classes hold exactly the state of their reference counterparts
 :class:`~repro.cpu.cache.TraceCache`, :class:`~repro.cpu.tlb.Tlb`,
 :class:`~repro.cpu.branch.BranchPredictor`) in flat ``array('q')`` /
 ``array('d')`` buffers keyed by ``(set, way)``, instead of per-set
-Python lists and dicts.  Two consumers drive the layout:
-
-* the optional C extension (``repro.cpu._enginecore``) binds the
-  buffers once and runs the whole charge path over raw int64 loads;
-* the pure-Python methods here implement the *same* transitions, so
-  the equivalence suite can prove the representation against the
-  reference classes on random traces, and cold paths (flush, affinity
-  setup, introspection) work without the extension.
+Python lists and dicts.  They own the buffers and nothing else: the
+optional C extension (``repro.cpu._enginecore``) binds them once and
+performs every charge-path transition over raw int64 loads.  What
+stays in Python is read-only introspection and the two mutators the
+machine layer calls between charges (:meth:`ArraySetAssocCache.
+invalidate` via ``CompiledCpu.invalidate_line``, and
+:meth:`ArrayTlb.flush_below` on a context switch).  The differential
+suite (``tests/test_engine_equivalence.py``) checks the C transitions
+against the reference classes buffer by buffer.
 
 Layout invariants the C code relies on:
 
@@ -23,13 +24,10 @@ Layout invariants the C code relies on:
   (see :class:`repro.prof.slotaccounting.SlotRegistry`) with an
   intrusive doubly-linked LRU list in ``_prev`` / ``_next``;
 * counters live in small ``array('q')`` stats buffers so compiled and
-  interpreted mutators see the same cells.
+  interpreted readers see the same cells.
 """
 
 from array import array
-
-from repro.cpu.branch import COLD_RATE, WARMUP_INVOCATIONS
-from repro.mem.layout import PAGE_SIZE, page_span
 
 #: Stats-buffer layout shared with the C extension.
 CACHE_HITS = 0
@@ -44,8 +42,20 @@ BP_TAIL = 1
 BP_COUNT = 2
 
 
+def stat_property(index, doc):
+    """A read/write property over one cell of ``self._stats``."""
+
+    def get(self):
+        return self._stats[index]
+
+    def set(self, value):
+        self._stats[index] = value
+
+    return property(get, set, doc=doc)
+
+
 class ArraySetAssocCache:
-    """Flat-array twin of :class:`~repro.cpu.cache.SetAssocCache`."""
+    """Flat-array state of :class:`~repro.cpu.cache.SetAssocCache`."""
 
     __slots__ = ("geometry", "_tags", "_stats", "_mask", "_ways")
 
@@ -62,102 +72,17 @@ class ArraySetAssocCache:
         self._tags = array("q", [-1]) * (n_sets * geometry.ways)
         self._stats = array("q", [0, 0])
 
-    # -- counters ------------------------------------------------------
-
-    @property
-    def hits(self):
-        return self._stats[CACHE_HITS]
-
-    @hits.setter
-    def hits(self, value):
-        self._stats[CACHE_HITS] = value
-
-    @property
-    def misses(self):
-        return self._stats[CACHE_MISSES]
-
-    @misses.setter
-    def misses(self, value):
-        self._stats[CACHE_MISSES] = value
-
-    # -- the SetAssocCache API -----------------------------------------
-
-    def access(self, line):
-        """Look up ``line``; on miss, fill it (evicting LRU)."""
-        tags = self._tags
-        ways = self._ways
-        base = (line & self._mask) * ways
-        if tags[base] == line:
-            self._stats[CACHE_HITS] += 1
-            return True
-        for i in range(1, ways):
-            tag = tags[base + i]
-            if tag == line:
-                while i > 0:
-                    tags[base + i] = tags[base + i - 1]
-                    i -= 1
-                tags[base] = line
-                self._stats[CACHE_HITS] += 1
-                return True
-            if tag == -1:
-                break
-        self._stats[CACHE_MISSES] += 1
-        i = ways - 1
-        while i > 0:
-            tags[base + i] = tags[base + i - 1]
-            i -= 1
-        tags[base] = line
-        return False
-
-    def access_lines(self, lines):
-        """N :meth:`access` calls; returns ``(hits, missed_list)``."""
-        hits = 0
-        missed = []
-        access = self.access
-        for line in lines:
-            if access(line):
-                hits += 1
-            else:
-                missed.append(line)
-        return hits, missed
-
-    def access_range(self, first_line, n_lines):
-        return self.access_lines(range(first_line, first_line + n_lines))
-
-    def miss_count(self, lines):
-        """N :meth:`access` calls, returning only the miss count."""
-        misses = 0
-        access = self.access
-        for line in lines:
-            if not access(line):
-                misses += 1
-        return misses
+    hits = stat_property(CACHE_HITS, "Lookups that hit.")
+    misses = stat_property(CACHE_MISSES, "Lookups that missed (and filled).")
 
     def probe(self, line):
-        tags = self._tags
+        """Non-destructive lookup: ``True`` if ``line`` is resident."""
         base = (line & self._mask) * self._ways
-        for i in range(self._ways):
-            tag = tags[base + i]
-            if tag == line:
-                return True
-            if tag == -1:
-                return False
-        return False
-
-    def fill(self, line):
-        """Insert ``line`` as MRU without counting; no-op if resident."""
-        if self.probe(line):
-            return
-        tags = self._tags
-        base = (line & self._mask) * self._ways
-        i = self._ways - 1
-        while i > 0:
-            tags[base + i] = tags[base + i - 1]
-            i -= 1
-        tags[base] = line
+        return line in self._tags[base:base + self._ways]
 
     def invalidate(self, line):
-        """Drop ``line`` if resident (coherence / DMA)."""
+        """Drop ``line`` if resident (coherence / DMA), keeping the set
+        packed MRU-first."""
         tags = self._tags
         ways = self._ways
         base = (line & self._mask) * ways
@@ -172,28 +97,16 @@ class ArraySetAssocCache:
             if tag == -1:
                 return
 
-    def flush(self):
-        tags = self._tags
-        for i in range(len(tags)):
-            tags[i] = -1
-
     def resident_lines(self):
         return [tag for tag in self._tags if tag != -1]
 
-    def occupancy(self):
-        filled = len(self.resident_lines())
-        return filled / float(len(self._tags))
-
     def sets_snapshot(self):
         """Per-set tag lists, MRU first -- comparable to the reference
-        class's ``_sets`` (equivalence tests)."""
+        class's ``_sets``."""
         tags = self._tags
         ways = self._ways
-        out = []
-        for s in range(self._mask + 1):
-            base = s * ways
-            out.append([t for t in tags[base:base + ways] if t != -1])
-        return out
+        return [[t for t in tags[base:base + ways] if t != -1]
+                for base in range(0, len(tags), ways)]
 
     def __repr__(self):
         return "%s(%r, hits=%d, misses=%d)" % (
@@ -201,19 +114,18 @@ class ArraySetAssocCache:
 
 
 class ArrayTraceCache(ArraySetAssocCache):
-    """Array twin of :class:`~repro.cpu.cache.TraceCache`.
+    """Array state of :class:`~repro.cpu.cache.TraceCache`.
 
     The reference trace cache is behaviourally identical to
-    ``SetAssocCache`` (same replacement, counters and geometry; it only
-    drops the entry points coherence never uses), so the array form is
-    the same class under the fetch-path name.
+    ``SetAssocCache`` (same replacement, counters and geometry), so the
+    array form is the same class under the fetch-path name.
     """
 
     __slots__ = ()
 
 
 class ArrayTlb:
-    """Flat-array twin of :class:`~repro.cpu.tlb.Tlb`."""
+    """Flat-array state of :class:`~repro.cpu.tlb.Tlb`."""
 
     __slots__ = ("geometry", "_pages", "_stats", "_capacity")
 
@@ -223,65 +135,8 @@ class ArrayTlb:
         self._pages = array("q", [-1]) * geometry.entries
         self._stats = array("q", [0, 0])
 
-    @property
-    def hits(self):
-        return self._stats[TLB_HITS]
-
-    @hits.setter
-    def hits(self, value):
-        self._stats[TLB_HITS] = value
-
-    @property
-    def walks(self):
-        return self._stats[TLB_WALKS]
-
-    @walks.setter
-    def walks(self, value):
-        self._stats[TLB_WALKS] = value
-
-    def access(self, page):
-        """Translate ``page``; ``True`` on hit, filling on miss."""
-        pages = self._pages
-        if pages[0] == page:
-            self._stats[TLB_HITS] += 1
-            return True
-        cap = self._capacity
-        for i in range(1, cap):
-            entry = pages[i]
-            if entry == page:
-                while i > 0:
-                    pages[i] = pages[i - 1]
-                    i -= 1
-                pages[0] = page
-                self._stats[TLB_HITS] += 1
-                return True
-            if entry == -1:
-                break
-        self._stats[TLB_WALKS] += 1
-        i = cap - 1
-        while i > 0:
-            pages[i] = pages[i - 1]
-            i -= 1
-        pages[0] = page
-        return False
-
-    def access_range(self, addr, size):
-        """Translate every page of ``[addr, addr+size)``; walk count."""
-        if size <= 0:
-            return 0
-        page = addr // PAGE_SIZE
-        if page == (addr + size - 1) // PAGE_SIZE:
-            return 0 if self.access(page) else 1
-        walks = 0
-        for page in page_span(addr, size):
-            if not self.access(page):
-                walks += 1
-        return walks
-
-    def flush(self):
-        pages = self._pages
-        for i in range(len(pages)):
-            pages[i] = -1
+    hits = stat_property(TLB_HITS, "Translations that hit.")
+    walks = stat_property(TLB_WALKS, "Translations that walked the pages.")
 
     def flush_below(self, boundary_page):
         """In-place compaction keeping pages >= ``boundary_page``.
@@ -303,6 +158,7 @@ class ArrayTlb:
             pages[i] = -1
 
     def resident_pages(self):
+        """Currently cached page numbers, MRU first."""
         out = []
         for page in self._pages:
             if page == -1:
@@ -316,11 +172,12 @@ class ArrayTlb:
 
 
 class ArrayBranchPredictor:
-    """Array twin of :class:`~repro.cpu.branch.BranchPredictor`.
+    """Array state of :class:`~repro.cpu.branch.BranchPredictor`.
 
     State is indexed by the machine-wide function slot from a
-    :class:`~repro.prof.slotaccounting.SlotRegistry` (function names
-    and slots are 1:1 per machine), with the reference class's
+    :class:`~repro.prof.slotaccounting.SlotRegistry` (the machine's
+    ``FunctionTable`` keeps names unique, so slots and the names the
+    reference keys by are 1:1), with the reference class's
     ``OrderedDict`` LRU realised as an intrusive doubly-linked list:
     ``seen[slot] < 0`` means "not tracked", eviction unlinks the LRU
     head, a hit moves the slot to the tail.
@@ -352,107 +209,16 @@ class ArrayBranchPredictor:
         new[: len(old)] = old
         self._residual = new
 
-    @property
-    def mispredicts(self):
-        return self._stats[BP_MISPREDICTS]
-
-    @mispredicts.setter
-    def mispredicts(self, value):
-        self._stats[BP_MISPREDICTS] = value
-
-    @property
-    def cold_events(self):
-        return self._stats[BP_COLD_EVENTS]
-
-    @cold_events.setter
-    def cold_events(self, value):
-        self._stats[BP_COLD_EVENTS] = value
-
-    # -- LRU plumbing --------------------------------------------------
-
-    def _unlink(self, slot):
-        meta = self._meta
-        prev = self._prev[slot]
-        nxt = self._next[slot]
-        if prev >= 0:
-            self._next[prev] = nxt
-        else:
-            meta[BP_HEAD] = nxt
-        if nxt >= 0:
-            self._prev[nxt] = prev
-        else:
-            meta[BP_TAIL] = prev
-
-    def _append(self, slot):
-        meta = self._meta
-        tail = meta[BP_TAIL]
-        self._prev[slot] = tail
-        self._next[slot] = -1
-        if tail >= 0:
-            self._next[tail] = slot
-        else:
-            meta[BP_HEAD] = slot
-        meta[BP_TAIL] = slot
-
-    # -- the BranchPredictor API ---------------------------------------
-
-    def predict(self, fn_name, branches, base_rate):
-        """Account ``branches`` branches of ``fn_name``; mispredicts."""
-        if branches <= 0:
-            return 0
-        slot = self._registry.slot_for_name(fn_name)
-        return self.predict_slot(slot, branches, base_rate)
-
-    def predict_slot(self, slot, branches, base_rate):
-        seen_arr = self._seen
-        meta = self._meta
-        if seen_arr[slot] < 0:
-            seen_arr[slot] = 0
-            self._residual[slot] = 0.0
-            self._append(slot)
-            meta[BP_COUNT] += 1
-            if meta[BP_COUNT] > self._capacity:
-                victim = meta[BP_HEAD]
-                self._unlink(victim)
-                seen_arr[victim] = -1
-                meta[BP_COUNT] -= 1
-            self._stats[BP_COLD_EVENTS] += 1
-        elif meta[BP_TAIL] != slot:
-            self._unlink(slot)
-            self._append(slot)
-        seen = seen_arr[slot]
-        rate = base_rate
-        if seen < WARMUP_INVOCATIONS:
-            rate += COLD_RATE * (WARMUP_INVOCATIONS - seen) / WARMUP_INVOCATIONS
-        seen_arr[slot] = seen + 1
-        expected = self._residual[slot] + branches * rate
-        whole = int(expected)
-        self._residual[slot] = expected - whole
-        if whole > branches:
-            whole = branches
-        self._stats[BP_MISPREDICTS] += whole
-        return whole
-
-    def forget(self, fn_name):
-        slot = self._registry.find_slot(fn_name)
-        if slot is not None and self._seen[slot] >= 0:
-            self._unlink(slot)
-            self._seen[slot] = -1
-            self._meta[BP_COUNT] -= 1
-
-    def warmth(self, fn_name):
-        slot = self._registry.find_slot(fn_name)
-        if slot is None:
-            return 0
-        seen = self._seen[slot]
-        return seen if seen > 0 else 0
+    mispredicts = stat_property(BP_MISPREDICTS, "Mispredictions charged.")
+    cold_events = stat_property(BP_COLD_EVENTS, "Functions (re-)entered cold.")
 
     def tracked_names(self):
-        """LRU-to-MRU tracked function names (equivalence tests)."""
-        names = self._registry.names
+        """LRU-to-MRU tracked function names -- comparable to the
+        reference's ``_entries`` keys."""
+        specs = self._registry.specs
         out = []
         slot = self._meta[BP_HEAD]
         while slot >= 0:
-            out.append(names[slot])
+            out.append(specs[slot].name)
             slot = self._next[slot]
         return out

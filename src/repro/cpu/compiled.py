@@ -1,20 +1,22 @@
 """The compiled-engine CPU: array state plus a thin charge wrapper.
 
-:class:`CompiledCpu` is the flat-array twin of :class:`~repro.cpu.
-core.Cpu`.  It owns the same component set -- three data-cache levels,
-two TLBs, trace cache, branch predictor -- but in the ``array('q')``
-representations of :mod:`repro.cpu.arraystate`, and its :meth:`charge`
-is a ~ten-line wrapper around ``_enginecore.charge``, which runs the
-entire hot path in C over buffers bound once at machine construction.
+:class:`CompiledCpu` owns the same component set as :class:`~repro.
+cpu.core.Cpu` -- three data-cache levels, two TLBs, trace cache,
+branch predictor -- but in the ``array('q')`` representations of
+:mod:`repro.cpu.arraystate`, and its :meth:`charge` is a ~ten-line
+wrapper around ``_enginecore.charge``, which runs the entire hot path
+in C over buffers bound once at machine construction.
 
 Everything the machine layer touches between charges (clocks, totals,
-skid attribution, machine clears, idle advance, per-line coherence
-invalidation) stays in Python: those paths run a handful of times per
-quantum and their cost is irrelevant, while keeping them here keeps
-the C surface small and auditable.  The duck-typed surface matches
-``Cpu`` exactly; the equivalence and golden suites run the same
-workloads over both and require identical event streams.
+skid attribution, machine clears, idle advance, the HT wiring) is the
+Python code of :class:`~repro.cpu.core.CpuBase`, shared with the
+reference engine; only per-line coherence invalidation from outside
+the C core is specific here.  The differential suite
+(``tests/test_engine_equivalence.py``) and the golden suite run the
+same workloads over both engines and require identical state.
 """
+
+from array import array
 
 from repro.cpu.arraystate import (
     ArrayBranchPredictor,
@@ -22,93 +24,40 @@ from repro.cpu.arraystate import (
     ArrayTlb,
     ArrayTraceCache,
 )
-from array import array
-
-from repro.cpu.events import CYCLES, MACHINE_CLEARS, zero_counts
+from repro.cpu.core import CpuBase
 
 #: Oprofile-skid sampling period, coprime to the quanta (same constant
 #: as the pure engine; keep the two in sync).
 SKID_PERIOD = 1999
 
 
-class CompiledCpu:
-    """One processor of the simulated SMP, on the compiled engine."""
+class CompiledCpu(CpuBase):
+    """One processor of the simulated SMP, on the compiled engine.
 
-    __slots__ = (
-        "index",
-        "name",
-        "params",
-        "costs",
-        "memsys",
-        "sink",
-        "registry",
-        "domain",
-        "sibling",
-        "recent_load",
-        "l1",
-        "l2",
-        "l3",
-        "itlb",
-        "dtlb",
-        "trace_cache",
-        "branch_predictor",
-        "now",
-        "busy_cycles",
-        "totals",
-        "last_spec",
-        "skid_spec",
-        "_skid_acc",
-        "_busy_at_last_tick",
-        "_core",
-        "_state",
-    )
+    ``sink`` is the machine's :class:`~repro.prof.slotaccounting.
+    ArrayAccounting`; its slot registry numbers the functions the
+    branch predictor tracks.
+    """
 
-    def __init__(self, index, params, costs, memsys, sink, registry,
-                 name=None, share_with=None, domain=None):
-        self.index = index
-        self.name = name or ("CPU%d" % index)
-        self.params = params
-        self.costs = costs
-        self.memsys = memsys
-        self.sink = sink
-        self.registry = registry
-        self.domain = domain if domain is not None else index
-        self.sibling = None
-        self.recent_load = 0.0
-        if share_with is None:
-            self.l1 = ArraySetAssocCache(params.l1)
-            self.l2 = ArraySetAssocCache(params.l2)
-            self.l3 = ArraySetAssocCache(params.l3)
-            self.itlb = ArrayTlb(params.itlb)
-            self.dtlb = ArrayTlb(params.dtlb)
-            self.trace_cache = ArrayTraceCache(params.trace_cache)
-            self.branch_predictor = ArrayBranchPredictor(
-                params.bp_capacity, registry)
-        else:
-            self.l1 = share_with.l1
-            self.l2 = share_with.l2
-            self.l3 = share_with.l3
-            self.itlb = share_with.itlb
-            self.dtlb = share_with.dtlb
-            self.trace_cache = share_with.trace_cache
-            self.branch_predictor = share_with.branch_predictor
-            self.domain = share_with.domain
-            self.sibling = share_with
-            share_with.sibling = self
-        self.now = 0
-        self.busy_cycles = 0
+    __slots__ = ("_core", "_state")
+
+    def __init__(self, index, params, costs, memsys, sink, name=None,
+                 share_with=None, domain=None):
+        super().__init__(index, params, costs, memsys, sink, name=name,
+                         share_with=share_with, domain=domain)
         # Same layout as the reference's list, but buffer-exportable so
         # the C engine adds into it directly.
-        self.totals = array("q", zero_counts())
-        self.last_spec = None
-        self.skid_spec = None
-        self._skid_acc = 0
-        self._busy_at_last_tick = 0
+        self.totals = array("q", self.totals)
         #: Bound by :meth:`bind` once the whole machine exists (the C
         #: state captures every CPU's buffers in one build).
         self._core = None
         self._state = None
-        memsys.attach_cpu(self)
+
+    def _make_units(self, params):
+        return (ArraySetAssocCache(params.l1), ArraySetAssocCache(params.l2),
+                ArraySetAssocCache(params.l3), ArrayTlb(params.itlb),
+                ArrayTlb(params.dtlb), ArrayTraceCache(params.trace_cache),
+                ArrayBranchPredictor(params.bp_capacity, self.sink.registry))
 
     def bind(self, core, state):
         """Attach the built C engine state (machine-construction time)."""
@@ -146,53 +95,10 @@ class CompiledCpu:
         self._skid_acc = acc
         return cycles
 
-    # ------------------------------------------------------------------
-    # Asynchronous events (cold paths; Python, same as the reference).
-    # ------------------------------------------------------------------
-
-    def machine_clear(self, attr_spec, counted, flush=True):
-        """Apply a pipeline clear caused by an asynchronous interruption."""
-        cycles = self.costs.machine_clear if flush else 0
-        if cycles:
-            self.now += cycles
-            self.busy_cycles += cycles
-        totals = self.totals
-        totals[CYCLES] += cycles
-        totals[MACHINE_CLEARS] += counted
-        self.sink.record(
-            self.index, attr_spec, cycles, 0, 0, 0, 0, 0, 0, 0, 0, 0, counted
-        )
-        return cycles
-
-    def advance_idle(self, cycles):
-        """Let the local clock follow global time while idle-polling."""
-        if cycles > 0:
-            self.now += cycles
-
     def invalidate_line(self, line):
-        """Coherence invalidation from the directory or DMA (Python
-        fallback path; C-originated invalidations hit the arrays
-        directly)."""
+        """Drop ``line`` from this core's three data-cache levels (an
+        invalidation from Python; the C core's own invalidations hit
+        the arrays directly)."""
         self.l1.invalidate(line)
         self.l2.invalidate(line)
         self.l3.invalidate(line)
-
-    # ------------------------------------------------------------------
-    # Introspection.
-    # ------------------------------------------------------------------
-
-    def utilization(self, total_cycles=None):
-        """Busy fraction of this CPU over ``total_cycles`` (or ``now``)."""
-        denom = total_cycles if total_cycles else self.now
-        if denom <= 0:
-            return 0.0
-        return min(1.0, self.busy_cycles / float(denom))
-
-    def touch_pages_instr(self, pages):
-        """Pre-walk ITLB entries (used when warming code deliberately)."""
-        for page in pages:
-            self.itlb.access(page)
-
-    def __repr__(self):
-        return "CompiledCpu(%s, now=%d, busy=%d)" % (
-            self.name, self.now, self.busy_cycles)

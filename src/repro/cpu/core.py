@@ -34,8 +34,14 @@ from repro.mem.layout import CACHE_LINE, PAGE_SIZE
 from repro.mem.system import DirectoryEntry
 
 
-class Cpu:
-    """One processor of the simulated SMP."""
+class CpuBase:
+    """What both engines' CPUs share: identity, the HyperThreading
+    wiring, clocks and totals, and the between-charge events.
+
+    Each engine's subclass builds its own microarchitectural units
+    (:meth:`_make_units`) and defines ``charge`` and
+    ``invalidate_line``.
+    """
 
     __slots__ = (
         "index",
@@ -61,9 +67,6 @@ class Cpu:
         "skid_spec",
         "_skid_acc",
         "_busy_at_last_tick",
-        "_walk_ctx",
-        "_charge_ctx",
-        "_inval_ctx",
     )
 
     def __init__(self, index, params, costs, memsys, sink, name=None,
@@ -88,13 +91,9 @@ class Cpu:
         self.sibling = None
         self.recent_load = 0.0
         if share_with is None:
-            self.l1 = SetAssocCache(params.l1)
-            self.l2 = SetAssocCache(params.l2)
-            self.l3 = SetAssocCache(params.l3)
-            self.itlb = Tlb(params.itlb)
-            self.dtlb = Tlb(params.dtlb)
-            self.trace_cache = TraceCache(params.trace_cache)
-            self.branch_predictor = BranchPredictor(params.bp_capacity)
+            (self.l1, self.l2, self.l3, self.itlb, self.dtlb,
+             self.trace_cache, self.branch_predictor) = self._make_units(
+                params)
         else:
             self.l1 = share_with.l1
             self.l2 = share_with.l2
@@ -126,13 +125,76 @@ class Cpu:
         self._skid_acc = 0
         #: Busy-cycle snapshot taken by the machine's load-tracking tick.
         self._busy_at_last_tick = 0
-        #: Everything :meth:`_access_range` needs, packed into one tuple
-        #: so the hot path pays a single attribute load + unpack instead
-        #: of ~20 attribute lookups per call.  Safe to freeze here: the
-        #: caches' ``_sets`` lists, the directory dict and the cost
-        #: constants are never reassigned after construction (``flush``
-        #: and friends mutate in place), and ``domain`` is final once
-        #: the ``share_with`` wiring above ran.
+        memsys.attach_cpu(self)
+
+    def _make_units(self, params):
+        """``(l1, l2, l3, itlb, dtlb, trace_cache, branch_predictor)``
+        for a CPU that owns its core."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Asynchronous events.
+    # ------------------------------------------------------------------
+
+    def machine_clear(self, attr_spec, counted, flush=True):
+        """Apply a pipeline clear caused by an asynchronous interruption.
+
+        ``counted`` is what the (noisy) MACHINE_CLEAR PMU event records;
+        the performance charge is one pipeline flush when ``flush`` is
+        true.  Events are attributed to ``attr_spec`` -- the interrupted
+        function for IPIs, the handler for device interrupts -- which is
+        exactly the "skid" attribution the paper works around in its
+        Table 4 analysis.
+        """
+        cycles = self.costs.machine_clear if flush else 0
+        if cycles:
+            self.now += cycles
+            self.busy_cycles += cycles
+        totals = self.totals
+        totals[CYCLES] += cycles
+        totals[MACHINE_CLEARS] += counted
+        self.sink.record(
+            self.index, attr_spec, cycles, 0, 0, 0, 0, 0, 0, 0, 0, 0, counted
+        )
+        return cycles
+
+    def advance_idle(self, cycles):
+        """Let the local clock follow global time while idle-polling."""
+        if cycles > 0:
+            self.now += cycles
+
+    # ------------------------------------------------------------------
+    # Introspection.
+    # ------------------------------------------------------------------
+
+    def utilization(self, total_cycles=None):
+        """Busy fraction of this CPU over ``total_cycles`` (or ``now``)."""
+        denom = total_cycles if total_cycles else self.now
+        if denom <= 0:
+            return 0.0
+        return min(1.0, self.busy_cycles / float(denom))
+
+    def __repr__(self):
+        return "%s(%s, now=%d, busy=%d)" % (
+            type(self).__name__, self.name, self.now, self.busy_cycles)
+
+
+class Cpu(CpuBase):
+    """One processor of the simulated SMP (the reference engine)."""
+
+    __slots__ = ("_walk_ctx", "_charge_ctx", "_inval_ctx")
+
+    def __init__(self, index, params, costs, memsys, sink, name=None,
+                 share_with=None, domain=None):
+        super().__init__(index, params, costs, memsys, sink, name=name,
+                         share_with=share_with, domain=domain)
+        #: Everything :meth:`_read_range` / :meth:`_write_range` need,
+        #: packed into one tuple so the hot path pays a single attribute
+        #: load + unpack instead of ~20 attribute lookups per call.
+        #: Safe to freeze here: the caches' ``_sets`` lists, the
+        #: directory dict and the cost constants are never reassigned
+        #: after construction (``flush`` and friends mutate in place),
+        #: and ``domain`` is final once the ``share_with`` wiring ran.
         self._walk_ctx = (
             self.l1, self.l2, self.l3,
             self.l1._sets, self.l1._mask, self.l1._ways,
@@ -172,7 +234,12 @@ class Cpu:
             self.dtlb,
             memsys.directory, 1 << self.domain, self.domain,
         )
-        memsys.attach_cpu(self)
+
+    def _make_units(self, params):
+        return (SetAssocCache(params.l1), SetAssocCache(params.l2),
+                SetAssocCache(params.l3), Tlb(params.itlb),
+                Tlb(params.dtlb), TraceCache(params.trace_cache),
+                BranchPredictor(params.bp_capacity))
 
     # ------------------------------------------------------------------
     # Hot path.
@@ -362,18 +429,15 @@ class Cpu:
         )
         return cycles
 
-    def _access_range(self, addr, size, is_write):
-        """Walk one byte range through the hierarchy at line granularity.
+    def _read_range(self, addr, size):
+        """Walk one read byte range through the hierarchy at line
+        granularity.
 
-        Dispatches to the specialised :meth:`_read_range` /
-        :meth:`_write_range` loops; kept as the documented entry point
-        (and for callers that have ``is_write`` as data).
-
-        Both loops are fused forms of the historical line-at-a-time
-        walk: one Python loop drives all three levels (and, for writes,
-        the directory-exclusivity step), operating directly on the
-        caches' set lists instead of calling ``access`` per line per
-        level.  They are bit-identical to that walk -- an L1 hit never
+        The two walk loops (this one and :meth:`_write_range`) are
+        fused forms of the historical line-at-a-time walk: one Python
+        loop drives all three levels (and, for writes, the
+        directory-exclusivity step), operating directly on the caches'
+        set lists instead of calling ``access`` per line per level.  They are bit-identical to that walk -- an L1 hit never
         touches L2; each level still sees its accesses in the same line
         order; ``access`` fills on miss (so explicit back-fills were
         no-ops); an already-MRU hit's LRU move is a no-op; directory
@@ -400,12 +464,6 @@ class Cpu:
         between them within one charge cannot affect results) and
         return ``(llc_misses, l2_hits, l3_hits, cycles, dtlb_walks)``.
         """
-        if is_write:
-            return self._write_range(addr, size)
-        return self._read_range(addr, size)
-
-    def _read_range(self, addr, size):
-        """Read walk; see :meth:`_access_range` for the model notes."""
         (l1, l2, l3,
          sets1, mask1, ways1,
          sets2, mask2, ways2,
@@ -547,7 +605,7 @@ class Cpu:
     def _write_range(self, addr, size):
         """Write walk with the exclusivity step fused per line.
 
-        See :meth:`_access_range` for the model notes.  Relative to the
+        See :meth:`_read_range` for the model notes.  Relative to the
         read loop, every line additionally acquires write ownership:
         the historical separate directory pass is folded in (legal
         because ``make_exclusive`` never touches this domain's caches),
@@ -698,37 +756,6 @@ class Cpu:
         l3.misses += n_lines - l3_hits
         return llc_misses, l2_hits, l3_hits, cycles, dtlb_walks
 
-    # ------------------------------------------------------------------
-    # Asynchronous events.
-    # ------------------------------------------------------------------
-
-    def machine_clear(self, attr_spec, counted, flush=True):
-        """Apply a pipeline clear caused by an asynchronous interruption.
-
-        ``counted`` is what the (noisy) MACHINE_CLEAR PMU event records;
-        the performance charge is one pipeline flush when ``flush`` is
-        true.  Events are attributed to ``attr_spec`` -- the interrupted
-        function for IPIs, the handler for device interrupts -- which is
-        exactly the "skid" attribution the paper works around in its
-        Table 4 analysis.
-        """
-        cycles = self.costs.machine_clear if flush else 0
-        if cycles:
-            self.now += cycles
-            self.busy_cycles += cycles
-        totals = self.totals
-        totals[CYCLES] += cycles
-        totals[MACHINE_CLEARS] += counted
-        self.sink.record(
-            self.index, attr_spec, cycles, 0, 0, 0, 0, 0, 0, 0, 0, 0, counted
-        )
-        return cycles
-
-    def advance_idle(self, cycles):
-        """Let the local clock follow global time while idle-polling."""
-        if cycles > 0:
-            self.now += cycles
-
     def invalidate_line(self, line):
         """Coherence invalidation from the directory or DMA.
 
@@ -749,22 +776,3 @@ class Cpu:
         bucket = sets3[line & mask3]
         if line in bucket:
             bucket.remove(line)
-
-    # ------------------------------------------------------------------
-    # Introspection.
-    # ------------------------------------------------------------------
-
-    def utilization(self, total_cycles=None):
-        """Busy fraction of this CPU over ``total_cycles`` (or ``now``)."""
-        denom = total_cycles if total_cycles else self.now
-        if denom <= 0:
-            return 0.0
-        return min(1.0, self.busy_cycles / float(denom))
-
-    def touch_pages_instr(self, pages):
-        """Pre-walk ITLB entries (used when warming code deliberately)."""
-        for page in pages:
-            self.itlb.access(page)
-
-    def __repr__(self):
-        return "Cpu(%s, now=%d, busy=%d)" % (self.name, self.now, self.busy_cycles)

@@ -161,23 +161,30 @@ class Machine:
         self.charge_engine, core = resolve_engine(engine)
         self.costs = costs or CostModel()
         cpu_params = cpu_params or CpuParams()
-        self.cpus = []
-        if self.charge_engine == "compiled":
+        if core is not None:
             self.registry = SlotRegistry()
             self.memsys = CompiledMemorySystem()
             self.accounting = ArrayAccounting(n_cpus, self.registry)
-            for i in range(n_cpus):
-                share_with = None
-                domain = i
-                if hyperthreading:
-                    domain = i // 2
-                    if i % 2 == 1:
-                        share_with = self.cpus[i - 1]
-                self.cpus.append(
-                    CompiledCpu(i, cpu_params, self.costs, self.memsys,
-                                self.accounting, self.registry,
-                                share_with=share_with, domain=domain)
-                )
+            cpu_class = CompiledCpu
+        else:
+            self.registry = None
+            self.memsys = MemorySystem()
+            self.accounting = ExactAccounting()
+            cpu_class = Cpu
+        self.cpus = []
+        for i in range(n_cpus):
+            share_with = None
+            domain = i
+            if hyperthreading:
+                domain = i // 2
+                if i % 2 == 1:
+                    share_with = self.cpus[i - 1]
+            self.cpus.append(
+                cpu_class(i, cpu_params, self.costs, self.memsys,
+                          self.accounting, share_with=share_with,
+                          domain=domain)
+            )
+        if core is not None:
             state = core.build_state({
                 "registry": self.registry,
                 "accounting": self.accounting,
@@ -188,21 +195,6 @@ class Machine:
             for cpu in self.cpus:
                 cpu.bind(core, state)
             self.memsys.bind_state(core, state)
-        else:
-            self.registry = None
-            self.memsys = MemorySystem()
-            self.accounting = ExactAccounting()
-            for i in range(n_cpus):
-                share_with = None
-                domain = i
-                if hyperthreading:
-                    domain = i // 2
-                    if i % 2 == 1:
-                        share_with = self.cpus[i - 1]
-                self.cpus.append(
-                    Cpu(i, cpu_params, self.costs, self.memsys,
-                        self.accounting, share_with=share_with, domain=domain)
-                )
         self.scheduler = Scheduler(n_cpus, sched_params or SchedulerParams())
         self.ioapic = IoApic(n_cpus)
         self.softirqs = SoftirqTable()

@@ -17,10 +17,11 @@ Semantics mirror the reference exactly:
 * ``sharers`` is a bitmask of coherence domains, ``owner`` is a domain
   index or -1, exactly the two fields of ``DirectoryEntry``.
 
-Growth doubles the table and rehashes; a generation counter in the
-bound ``_meta`` buffer tells compiled code to re-acquire the (new)
-array buffers.  Slot order is an implementation detail -- nothing
-observable iterates the table in storage order.
+The C core performs every insert and update; growth doubles the table
+and rehashes in :meth:`LineDirectory._grow`, which the C core calls,
+and a generation counter in the bound ``_meta`` buffer tells it to
+re-acquire the (new) array buffers.  Slot order is an implementation
+detail -- nothing observable iterates the table in storage order.
 """
 
 from array import array
@@ -73,18 +74,9 @@ class LineDirectory:
         idx = self._slot(line)
         return idx if self._keys[idx] == line else -1
 
-    def insert(self, line, sharers, owner):
-        """Insert an absent ``line``; returns its slot index."""
-        if (self._meta[META_COUNT] + 1) * 2 > self._mask + 1:
-            self._grow()
-        idx = self._slot(line)
-        self._keys[idx] = line
-        self._sharers[idx] = sharers
-        self._owner[idx] = owner
-        self._meta[META_COUNT] += 1
-        return idx
-
     def _grow(self):
+        """Double the table and rehash (called by the C core before an
+        insert would exceed half occupancy)."""
         old = list(self.items())
         self._alloc((self._mask + 1) * 2)
         keys = self._keys
@@ -95,7 +87,7 @@ class LineDirectory:
             self._owner[idx] = owner
         self._meta[META_GENERATION] += 1
 
-    # -- dict-flavoured API (cold paths, tests) ------------------------
+    # -- read-only dict-flavoured API (introspection, tests) -----------
 
     def get(self, line):
         """``(sharers, owner)`` or ``None`` -- like ``directory.get``."""

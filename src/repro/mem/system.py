@@ -49,31 +49,21 @@ class DirectoryEntry(list):
         )
 
 
-class MemorySystem:
-    """The shared interconnect: directory state plus DMA entry points."""
+class MemorySystemBase:
+    """What both engines' memory systems share: the CPU roster and the
+    front-side-bus queuing model.  Subclasses own the directory, the
+    coherence counters and ``bus_delay``."""
 
-    def __init__(self, dma_read_invalidates=True):
-        #: On the paper's front-side-bus chipsets, device reads snoop
-        #: with invalidation: a transmitted buffer is cache-cold when
-        #: the CPU next touches it.  This is what keeps transmit-copy
-        #: MPI high (~0.01) *regardless of affinity* in the paper's
-        #: Table 1 ("affinity did not seem to affect copies").
-        self.dma_read_invalidates = dma_read_invalidates
-        self.directory = {}
+    def __init__(self):
         self._cpus = []
         #: One representative CPU per coherence domain.  HT siblings
         #: share a cache hierarchy, so invalidating through any one of
         #: them empties the physical caches for the whole domain.
         self._domain_reps = {}
-        self.dma_lines_written = 0
-        self.dma_lines_read = 0
-        self.invalidations = 0
-        self.c2c_transfers = 0
         #: Shared front-side-bus state: recent utilization (EWMA, fed
         #: by the machine tick) and the per-miss queuing delay derived
         #: from it.  See CostModel.bus_slot_cycles.
         self.bus_utilization = 0.0
-        self.bus_delay = 0
 
     def update_bus(self, miss_slots_cycles, window_cycles, costs):
         """Refresh the queuing-delay estimate from one tick's traffic.
@@ -97,24 +87,28 @@ class MemorySystem:
         if cpu in self._cpus:
             raise ValueError("CPU %r attached twice" % cpu)
         self._cpus.append(cpu)
-        domain = getattr(cpu, "domain", cpu.index)
-        self._domain_reps.setdefault(domain, cpu)
+        self._domain_reps.setdefault(cpu.domain, cpu)
 
     @property
     def cpus(self):
         return list(self._cpus)
 
+
+class MemorySystem(MemorySystemBase):
+    """The shared interconnect: directory state plus DMA entry points."""
+
+    def __init__(self):
+        super().__init__()
+        self.directory = {}
+        self.dma_lines_written = 0
+        self.dma_lines_read = 0
+        self.invalidations = 0
+        self.c2c_transfers = 0
+        self.bus_delay = 0
+
     # ------------------------------------------------------------------
     # Coherence operations used by the CPU access path.
     # ------------------------------------------------------------------
-
-    def note_fill(self, line, domain):
-        """Record that ``domain`` now caches ``line`` (read share)."""
-        entry = self.directory.get(line)
-        if entry is None:
-            self.directory[line] = DirectoryEntry((1 << domain, -1))
-        else:
-            entry[SHARERS] |= 1 << domain
 
     def read_miss(self, line, domain):
         """Serve a last-level read miss; returns ``True`` for cache-to-cache.
@@ -190,23 +184,24 @@ class MemorySystem:
     def dma_read(self, addr, size):
         """Device reads memory (e.g. NIC transmit DMA).
 
-        With ``dma_read_invalidates`` (the default, matching the
-        paper's chipset generation) dirty CPU copies are written back
-        and *invalidated*; otherwise they are merely downgraded to
-        shared and stay warm.
+        On the paper's front-side-bus chipsets, device reads snoop with
+        invalidation: dirty CPU copies are written back and
+        *invalidated*, so a transmitted buffer is cache-cold when the
+        CPU next touches it.  This is what keeps transmit-copy MPI high
+        (~0.01) *regardless of affinity* in the paper's Table 1
+        ("affinity did not seem to affect copies").
         """
         from repro.mem.layout import line_span
 
         span = line_span(addr, size)
         get_entry = self.directory.get
         reps = self._domain_reps.items()
-        invalidate = self.dma_read_invalidates
         invalidations = 0
         for line in span:
             entry = get_entry(line)
             if entry is not None:
                 sharers = entry[SHARERS]
-                if invalidate and sharers:
+                if sharers:
                     for dom, rep in reps:
                         if sharers & (1 << dom):
                             rep.invalidate_line(line)

@@ -23,7 +23,66 @@ from repro.cpu.events import (
 from repro.cpu.function import BINS
 
 
-class ExactAccounting:
+class AccountingViews:
+    """The aggregations the paper's tables need, computed over
+    ``rows()`` -- shared by both engines' accounting sinks."""
+
+    __slots__ = ()
+
+    def per_function(self, cpu_index=None, include_idle=False):
+        """Aggregate vectors by function name.
+
+        Returns ``{fn_name: (spec, vector)}``.  ``cpu_index`` restricts
+        to one CPU (Table 4's per-CPU views); the idle loop is excluded
+        unless requested.
+        """
+        out = {}
+        for (cpu, spec), vec in self.rows():
+            if cpu_index is not None and cpu != cpu_index:
+                continue
+            if not include_idle and spec.bin == "other":
+                continue
+            entry = out.get(spec.name)
+            if entry is None:
+                out[spec.name] = (spec, list(vec))
+            else:
+                row = entry[1]
+                for i in range(N_EVENTS):
+                    row[i] += vec[i]
+        return out
+
+    def per_bin(self, cpu_index=None):
+        """Aggregate vectors by functional bin.
+
+        Returns ``{bin: vector}`` over the paper's seven bins (the
+        ``other`` bin -- idle loop, bookkeeping -- is reported too but
+        excluded from Table 1 style percentages by the callers).
+        """
+        out = {name: zero_counts() for name in BINS}
+        for (cpu, spec), vec in self.rows():
+            if cpu_index is not None and cpu != cpu_index:
+                continue
+            row = out[spec.bin]
+            for i in range(N_EVENTS):
+                row[i] += vec[i]
+        return out
+
+    def total(self, include_idle=False):
+        """Event vector summed over everything."""
+        out = zero_counts()
+        for (_, spec), vec in self.rows():
+            if not include_idle and spec.bin == "other":
+                continue
+            for i in range(N_EVENTS):
+                out[i] += vec[i]
+        return out
+
+    def cpus(self):
+        """Sorted CPU indices present in the data."""
+        return sorted({cpu for (cpu, _), _ in self.rows()})
+
+
+class ExactAccounting(AccountingViews):
     """Accumulates event vectors keyed by (cpu index, function spec)."""
 
     def __init__(self):
@@ -74,65 +133,10 @@ class ExactAccounting:
         """Drop all accumulated data (start of the measurement window)."""
         self._data.clear()
 
-    # ------------------------------------------------------------------
-    # Aggregation.
-    # ------------------------------------------------------------------
-
     def rows(self):
-        """Iterate ``((cpu_index, spec), vector)`` pairs."""
+        """Iterate ``((cpu_index, spec), vector)`` pairs, first-charge
+        order (what :class:`AccountingViews` aggregates)."""
         return self._data.items()
-
-    def per_function(self, cpu_index=None, include_idle=False):
-        """Aggregate vectors by function name.
-
-        Returns ``{fn_name: (spec, vector)}``.  ``cpu_index`` restricts
-        to one CPU (Table 4's per-CPU views); the idle loop is excluded
-        unless requested.
-        """
-        out = {}
-        for (cpu, spec), vec in self._data.items():
-            if cpu_index is not None and cpu != cpu_index:
-                continue
-            if not include_idle and spec.bin == "other":
-                continue
-            entry = out.get(spec.name)
-            if entry is None:
-                out[spec.name] = (spec, list(vec))
-            else:
-                row = entry[1]
-                for i in range(N_EVENTS):
-                    row[i] += vec[i]
-        return out
-
-    def per_bin(self, cpu_index=None):
-        """Aggregate vectors by functional bin.
-
-        Returns ``{bin: vector}`` over the paper's seven bins (the
-        ``other`` bin -- idle loop, bookkeeping -- is reported too but
-        excluded from Table 1 style percentages by the callers).
-        """
-        out = {name: zero_counts() for name in BINS}
-        for (cpu, spec), vec in self._data.items():
-            if cpu_index is not None and cpu != cpu_index:
-                continue
-            row = out[spec.bin]
-            for i in range(N_EVENTS):
-                row[i] += vec[i]
-        return out
-
-    def total(self, include_idle=False):
-        """Event vector summed over everything."""
-        out = zero_counts()
-        for (_, spec), vec in self._data.items():
-            if not include_idle and spec.bin == "other":
-                continue
-            for i in range(N_EVENTS):
-                out[i] += vec[i]
-        return out
-
-    def cpus(self):
-        """Sorted CPU indices present in the data."""
-        return sorted({cpu for (cpu, _) in self._data})
 
 
 class BinProfile:

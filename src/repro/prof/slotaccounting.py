@@ -23,8 +23,8 @@ dict-insertion order of the reference.
 
 from array import array
 
-from repro.cpu.events import N_EVENTS, zero_counts
-from repro.cpu.function import BINS
+from repro.cpu.events import N_EVENTS
+from repro.prof.accounting import AccountingViews
 
 #: ``SlotRegistry._meta`` layout (bound by the compiled engine).
 REG_GENERATION = 0
@@ -36,15 +36,12 @@ ACCT_ORDER_COUNT = 1
 class SlotRegistry:
     """Dense function-slot numbering shared by accounting and the BP."""
 
-    __slots__ = ("capacity", "specs", "names", "_spec_to_slot",
-                 "_name_to_slot", "_meta", "_growers")
+    __slots__ = ("capacity", "specs", "_spec_to_slot", "_meta", "_growers")
 
     def __init__(self, capacity=256):
         self.capacity = capacity
-        self.specs = []   # slot -> FunctionSpec (or None for bare names)
-        self.names = []   # slot -> function name
+        self.specs = []   # slot -> FunctionSpec
         self._spec_to_slot = {}
-        self._name_to_slot = {}
         self._meta = array("q", [0])
         self._growers = []
 
@@ -52,53 +49,29 @@ class SlotRegistry:
         """Register ``callback(new_capacity)`` to run on every growth."""
         self._growers.append(callback)
 
-    def _assign(self, name, spec):
-        slot = len(self.names)
+    def slot_for(self, spec):
+        """Slot of ``spec``, assigning one on first sight (the C core
+        calls this for a spec it has not seen)."""
+        slot = self._spec_to_slot.get(spec)
+        if slot is not None:
+            return slot
+        slot = len(self.specs)
         if slot >= self.capacity:
             new_capacity = self.capacity * 2
             for grower in self._growers:
                 grower(new_capacity)
             self.capacity = new_capacity
             self._meta[REG_GENERATION] += 1
-        self.names.append(name)
         self.specs.append(spec)
-        self._name_to_slot[name] = slot
-        if spec is not None:
-            self._spec_to_slot[spec] = slot
+        self._spec_to_slot[spec] = slot
         return slot
 
-    def slot_for(self, spec):
-        """Slot of ``spec``, assigning one on first sight."""
-        slot = self._spec_to_slot.get(spec)
-        if slot is not None:
-            return slot
-        slot = self._name_to_slot.get(spec.name)
-        if slot is not None:
-            # Name first seen bare (e.g. via the branch predictor):
-            # bind the spec to the existing slot.
-            self._spec_to_slot[spec] = slot
-            if self.specs[slot] is None:
-                self.specs[slot] = spec
-            return slot
-        return self._assign(spec.name, spec)
-
-    def slot_for_name(self, name):
-        """Slot of ``name``, assigning one on first sight."""
-        slot = self._name_to_slot.get(name)
-        if slot is not None:
-            return slot
-        return self._assign(name, None)
-
-    def find_slot(self, name):
-        """Slot of ``name`` or ``None`` (no assignment)."""
-        return self._name_to_slot.get(name)
-
     def __len__(self):
-        return len(self.names)
+        return len(self.specs)
 
 
-class ArrayAccounting:
-    """Flat-array twin of :class:`~repro.prof.accounting.ExactAccounting`."""
+class ArrayAccounting(AccountingViews):
+    """Flat-array state of :class:`~repro.prof.accounting.ExactAccounting`."""
 
     __slots__ = ("n_cpus", "registry", "_rows", "_touched", "_order",
                  "_meta")
@@ -149,8 +122,8 @@ class ArrayAccounting:
         machine_clears,
     ):
         """Accumulate one charge's events (same contract as the
-        reference ``record``; the compiled engine performs these adds
-        in C on the same buffers)."""
+        reference ``record``).  The C core performs these adds itself
+        for every charge; this entry point serves ``machine_clear``."""
         meta = self._meta
         if not meta[ACCT_ENABLED]:
             return
@@ -189,7 +162,7 @@ class ArrayAccounting:
                 rows[i] = 0
         meta[ACCT_ORDER_COUNT] = 0
 
-    # -- aggregation (same outputs as the reference) -------------------
+    # -- aggregation (shared with the reference over rows()) -----------
 
     def rows(self):
         """``((cpu_index, spec), vector)`` pairs, first-charge order."""
@@ -205,44 +178,6 @@ class ArrayAccounting:
             out.append(((cpu, specs[slot]),
                         list(rows[base: base + N_EVENTS])))
         return out
-
-    def per_function(self, cpu_index=None, include_idle=False):
-        out = {}
-        for (cpu, spec), vec in self.rows():
-            if cpu_index is not None and cpu != cpu_index:
-                continue
-            if not include_idle and spec.bin == "other":
-                continue
-            entry = out.get(spec.name)
-            if entry is None:
-                out[spec.name] = (spec, vec)
-            else:
-                row = entry[1]
-                for i in range(N_EVENTS):
-                    row[i] += vec[i]
-        return out
-
-    def per_bin(self, cpu_index=None):
-        out = {name: zero_counts() for name in BINS}
-        for (cpu, spec), vec in self.rows():
-            if cpu_index is not None and cpu != cpu_index:
-                continue
-            row = out[spec.bin]
-            for i in range(N_EVENTS):
-                row[i] += vec[i]
-        return out
-
-    def total(self, include_idle=False):
-        out = zero_counts()
-        for (_, spec), vec in self.rows():
-            if not include_idle and spec.bin == "other":
-                continue
-            for i in range(N_EVENTS):
-                out[i] += vec[i]
-        return out
-
-    def cpus(self):
-        return sorted({cpu for (cpu, _), _ in self.rows()})
 
 
 class ClassColumns:

@@ -1,8 +1,8 @@
 """Machine-level equivalence of the pure and compiled charging engines.
 
-The component-level equivalence suite (test_engine_equivalence) proves
-every array-state class matches its reference twin transition by
-transition.  This suite closes the loop end to end: whole experiments
+The differential suite (test_engine_equivalence) checks the C core's
+state against the reference machine after every charge, DMA and
+clear.  This suite closes the loop end to end: whole experiments
 run under ``engine="pure"`` and ``engine="compiled"`` must produce
 byte-identical result payloads -- throughput, per-bin profiles,
 coherence counters, everything the paper's tables are built from.

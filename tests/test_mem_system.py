@@ -91,16 +91,6 @@ class TestDma:
         charge_read(rig, 0, obj.addr, obj.size)
         assert rig.cpus[0].totals[LLC_MISSES] == before + 4
 
-    def test_dma_read_non_invalidating_mode(self, rig):
-        """The modern-chipset behaviour is available as a switch."""
-        rig.memsys.dma_read_invalidates = False
-        obj = rig.space.alloc("txbuf", CACHE_LINE * 4)
-        charge_write(rig, 0, obj.addr, obj.size)
-        before = rig.cpus[0].totals[LLC_MISSES]
-        rig.memsys.dma_read(obj.addr, obj.size)
-        charge_read(rig, 0, obj.addr, obj.size)
-        assert rig.cpus[0].totals[LLC_MISSES] == before
-
     def test_dma_read_downgrades_ownership(self, rig):
         obj = rig.space.alloc("txbuf", CACHE_LINE)
         charge_write(rig, 0, obj.addr)

@@ -110,3 +110,27 @@ def test_replicate_refuses_to_average_over_a_failed_cell(failing):
     with pytest.raises(RuntimeError, match="1 cell\\(s\\) failed"):
         replicate(config, seeds=(3, 5), runner=SweepRunner(jobs=1,
                                                            retries=0))
+
+
+def test_diagnose_with_a_dead_ceiling_probe_exits_3(monkeypatch, capsys,
+                                                    tmp_path):
+    # The ceiling probe runs but delivers 0 Gb/s: no cell is
+    # quarantined, yet the baseline and every knob cell are failed.
+    real = parallel.run_experiment
+
+    def run_experiment(config, cache=None, progress=None):
+        result = real(config, cache=cache, progress=progress)
+        result._data["throughput_gbps"] = 0.0
+        return result
+
+    monkeypatch.setattr(parallel, "run_experiment", run_experiment)
+    rc = main([
+        "diagnose", "--direction", "rx", "--modes", "none",
+        "--knobs", "copy-engine", "--size", "8192", "--connections", "2",
+        "--steps", "0", "--jobs", "1",
+        "--json", str(tmp_path / "diag.json"),
+    ] + TINY)
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "baseline FAIL" in captured.out
+    assert "diagnose incomplete" in captured.err
